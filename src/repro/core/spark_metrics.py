@@ -4,7 +4,8 @@ Given a DataFrame with columns ``record_id``, ``pred``, ``truth``,
 purity / inverse-purity / FP-measure and the pair-confusion counts
 (TP/FP/FN/TN) are computed with groupBy aggregations — no per-pair
 materialisation: the pair counts come from cluster-size combinatorics
-(Σ C(n,2) over pred, truth, and pred×truth groups).
+(Σ C(n,2) over pred, truth, and pred×truth groups). Each of them runs a
+single query over one contingency table and collects one row.
 
 The unit tests cross-check these against both the pure-Python
 implementations in :mod:`repro.core.metrics` and DuckDB SQL via
@@ -27,33 +28,54 @@ def contingency_df(assign: DataFrame) -> DataFrame:
     )
 
 
+def _table_sums(assign: DataFrame) -> dict[str, int]:
+    """Every sum the purities and pair counts need, as one collected row.
+
+    The contingency table is built once; n is Σ cnt over it, and each
+    side's marginal (cluster size, largest cell) comes from grouping the
+    table by that side. Each of the three aggregations yields one row,
+    so the cross joins only put them side by side, and Spark reuses the
+    table's shuffle for all three.
+    """
+    table = contingency_df(assign)
+    cnt = F.col("cnt")
+
+    def side(key: str) -> DataFrame:
+        return (
+            table.groupBy(key)
+            .agg(F.sum(cnt).alias("size"), F.max(cnt).alias("best"))
+            .agg(F.sum(_comb2(F.col("size"))).alias(f"same_{key}"),
+                 F.sum("best").alias(f"best_{key}"))
+        )
+
+    row = (
+        table.agg(F.sum(cnt).alias("n"),
+                  F.sum(_comb2(cnt)).alias("same_both"))
+        .crossJoin(side("pred"))
+        .crossJoin(side("truth"))
+        .collect()[0]
+    )
+    return {k: int(v or 0) for k, v in row.asDict().items()}
+
+
+def _purities(assign: DataFrame) -> tuple[float, float]:
+    s = _table_sums(assign)
+    return s["best_pred"] / s["n"], s["best_truth"] / s["n"]
+
+
 def purity_spark(assign: DataFrame) -> float:
     """Eq. 4: Σ max-truth-overlap over predicted clusters / |R|."""
-    n = assign.count()
-    per_pred = (
-        contingency_df(assign)
-        .groupBy("pred")
-        .agg(F.max("cnt").alias("best"))
-        .agg(F.sum("best").alias("s"))
-        .collect()[0]["s"]
-    )
-    return float(per_pred) / n
+    return _purities(assign)[0]
 
 
 def inverse_purity_spark(assign: DataFrame) -> float:
     """Eq. 5: the same with pred/truth swapped."""
-    return purity_spark(
-        assign.select(
-            "record_id",
-            F.col("truth").alias("pred"),
-            F.col("pred").alias("truth"),
-        )
-    )
+    return _purities(assign)[1]
 
 
 def fp_measure_spark(assign: DataFrame) -> float:
     """Eq. 7: harmonic mean of the two purities."""
-    p, ip = purity_spark(assign), inverse_purity_spark(assign)
+    p, ip = _purities(assign)
     if p == 0 or ip == 0:
         return 0.0
     return 2.0 / (1.0 / p + 1.0 / ip)
@@ -61,34 +83,13 @@ def fp_measure_spark(assign: DataFrame) -> float:
 
 def pair_confusion_spark(assign: DataFrame) -> dict[str, int]:
     """TP/FP/FN/TN over record pairs via cluster-size combinatorics."""
-    n = assign.count()
-    total = n * (n - 1) // 2
-    tp = (
-        contingency_df(assign)
-        .agg(F.sum(_comb2(F.col("cnt"))).alias("s"))
-        .collect()[0]["s"]
-        or 0
-    )
-    same_pred = (
-        assign.groupBy("pred")
-        .agg(F.count("*").alias("c"))
-        .agg(F.sum(_comb2(F.col("c"))).alias("s"))
-        .collect()[0]["s"]
-        or 0
-    )
-    same_truth = (
-        assign.groupBy("truth")
-        .agg(F.count("*").alias("c"))
-        .agg(F.sum(_comb2(F.col("c"))).alias("s"))
-        .collect()[0]["s"]
-        or 0
-    )
-    tp, same_pred, same_truth = int(tp), int(same_pred), int(same_truth)
+    s = _table_sums(assign)
+    tp, same_pred, same_truth = s["same_both"], s["same_pred"], s["same_truth"]
     return {
         "tp": tp,
         "fp": same_pred - tp,
         "fn": same_truth - tp,
-        "tn": total - same_pred - same_truth + tp,
+        "tn": s["n"] * (s["n"] - 1) // 2 - same_pred - same_truth + tp,
     }
 
 

@@ -2,13 +2,16 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import metrics
 from repro.core.metrics import (
-    acc, all_metrics, ari, clusters_to_assignment, fp_measure,
+    acc, all_metrics, ari, clusters_to_assignment, contingency, fp_measure,
     inverse_purity, nmi, pair_confusion, purity,
 )
+
+from . import reference_metrics
 
 
 def _assign(labels):
@@ -189,3 +192,140 @@ class TestMetricProperties:
         assert m["acc"] == 1.0 and m["fp"] == 1.0
         assert math.isclose(m["nmi"], 1.0)
         assert math.isclose(m["ari"], 1.0)
+
+
+# Labels that stress the contingency numbering: negative, zero and
+# beyond 32 bits, in an order that is not sorted.
+ODD_LABELS = [2**40, -(2**33), 7, 0, -1, 2**32 + 1, 3]
+odd_label = st.sampled_from(ODD_LABELS) | st.integers(-(2**62), 2**62)
+
+
+@st.composite
+def random_labelings(draw):
+    """Few labels over few records, so equal intersections are common;
+    truth's insertion order is a shuffle of pred's."""
+    rids = draw(st.lists(odd_label, min_size=1, max_size=40, unique=True))
+    pred_pool = draw(st.lists(odd_label, min_size=1, max_size=5, unique=True))
+    truth_pool = draw(st.lists(odd_label, min_size=1, max_size=5, unique=True))
+    pred = {r: draw(st.sampled_from(pred_pool)) for r in rids}
+    order = draw(st.permutations(rids))
+    return pred, {r: draw(st.sampled_from(truth_pool)) for r in order}
+
+
+@st.composite
+def tied_grids(draw):
+    """k pred × m truth clusters whose every cell holds c records: every
+    intersection ties, so only the tie-break decides ACC."""
+    k, m, c = (draw(st.integers(1, 4)) for _ in range(3))
+    xs = draw(st.lists(odd_label, min_size=k, max_size=k, unique=True))
+    ys = draw(st.lists(odd_label, min_size=m, max_size=m, unique=True))
+    cells = [(x, y) for x in xs for y in ys for _ in range(c)]
+    order = draw(st.permutations(range(len(cells))))
+    rids = draw(st.lists(odd_label, min_size=len(cells),
+                         max_size=len(cells), unique=True))
+    pred = {rids[i]: cells[i][0] for i in order}
+    truth = {rids[i]: cells[i][1] for i in reversed(order)}
+    return pred, truth
+
+
+# pred and truth map the same ids, inserted in reverse sorted-label order
+REVERSED = (
+    {5: 2**40, 4: 2**40, 3: -(2**33), 2: -(2**33), 1: -5, 0: -5},
+    {0: 2**33, 1: 2**33, 2: 2**33, 3: -7, 4: -7, 5: -7},
+)
+
+
+class TestEquivalenceWithReference:
+    """The contingency-table metrics equal the set-intersection ones
+    kept in ``tests/reference_metrics.py``: exactly, except NMI, whose
+    float sums may round differently (tolerance 1e-12)."""
+
+    EXACT = ("acc", "purity", "inverse_purity", "fp_measure", "ari",
+             "pair_confusion")
+
+    @settings(max_examples=300, deadline=None)
+    @given(pt=random_labelings() | tied_grids())
+    @example(pt=REVERSED)
+    def test_matches_reference(self, pt):
+        pred, truth = pt
+        for name in self.EXACT:
+            ours = getattr(metrics, name)(pred, truth)
+            assert ours == getattr(reference_metrics, name)(pred, truth), name
+        ref_nmi = reference_metrics.nmi(pred, truth)
+        assert abs(nmi(pred, truth) - ref_nmi) <= 1e-12
+        m = all_metrics(pred, truth)
+        assert m["acc"] == reference_metrics.acc(pred, truth)
+        assert m["fp"] == reference_metrics.fp_measure(pred, truth)
+        assert m["ari"] == reference_metrics.ari(pred, truth)
+        assert abs(m["nmi"] - ref_nmi) <= 1e-12
+
+
+class TestAccTieBreak:
+    """Two cells of size 2 tie for truth cluster X (label 0): pred
+    cluster A (label 9, records 0-1) and B (label 1, records 2-4, one of
+    them in truth cluster Y). Clusters are numbered by first appearance,
+    so A is matched to X first and B then takes Y: ACC = 3/5. Numbering
+    by sorted label would put B first and leave A unmatched: ACC = 2/5."""
+
+    PRED = {0: 9, 1: 9, 2: 1, 3: 1, 4: 1}
+    TRUTH = {0: 0, 1: 0, 2: 0, 3: 0, 4: 5}
+
+    def test_first_appearance_wins(self):
+        assert acc(self.PRED, self.TRUTH) == 3 / 5
+
+    def test_insertion_order_decides(self):
+        # the same partition, inserted so that label 1 comes first
+        pred = {r: self.PRED[r] for r in (2, 3, 4, 0, 1)}
+        assert acc(pred, self.TRUTH) == 2 / 5
+
+    def test_table_numbering(self):
+        t = contingency(self.PRED, self.TRUTH)
+        assert t.cells == [(0, 0, 2), (1, 0, 2), (1, 1, 1)]
+        assert t.pred_sizes == [2, 3] and t.truth_sizes == [4, 1]
+
+
+class TestDegenerateInputs:
+    def test_single_record(self):
+        pred, truth = {42: 7}, {42: -(2**40)}
+        assert all_metrics(pred, truth) == {
+            "acc": 1.0, "fp": 1.0, "nmi": 1.0, "ari": 1.0,  # C(1, 2) = 0
+        }
+        assert pair_confusion(pred, truth) == {
+            "tp": 0, "fp": 0, "fn": 0, "tn": 0,
+        }
+
+    def test_all_singletons_both_sides(self):
+        n = 6
+        pred, truth = _assign(range(n)), _assign(range(100, 100 + n))
+        # ARI: Σ C(a, 2) = Σ C(b, 2) = 0, so max_index == expected
+        assert all_metrics(pred, truth) == pytest.approx(
+            {"acc": 1.0, "fp": 1.0, "nmi": 1.0, "ari": 1.0}
+        )
+        assert ari(pred, truth) == 1.0
+        assert pair_confusion(pred, truth) == {
+            "tp": 0, "fp": 0, "fn": 0, "tn": n * (n - 1) // 2,
+        }
+
+    def test_one_cluster_against_singletons(self):
+        n = 5
+        pred, truth = _assign([3] * n), _assign(range(n))
+        m = all_metrics(pred, truth)
+        assert all(math.isfinite(v) for v in m.values())
+        assert m["nmi"] == 0.0  # H(X) = 0, H(Y) = log n, I = 0
+        assert m["ari"] == 0.0
+        assert m["acc"] == 1 / n
+        assert m["fp"] == pytest.approx(2 / (n + 1))
+        assert pair_confusion(pred, truth) == {
+            "tp": 0, "fp": n * (n - 1) // 2, "fn": 0, "tn": 0,
+        }
+
+    @pytest.mark.parametrize("fn", [
+        acc, purity, inverse_purity, fp_measure, nmi, ari, pair_confusion,
+        all_metrics, contingency,
+    ])
+    @pytest.mark.parametrize("pred,truth", [
+        ({0: 0}, {1: 0}), ({0: 0, 1: 0}, {0: 0}), ({}, {}),
+    ])
+    def test_bad_input_raises(self, fn, pred, truth):
+        with pytest.raises(ValueError):
+            fn(pred, truth)

@@ -46,6 +46,22 @@ class TestAgainstPython:
         assert pair_confusion_spark(df) == pair_confusion(pred, truth)
 
 
+class TestDegenerate:
+    def test_single_record(self, spark):
+        df = spark.createDataFrame([(0, 3, 4)], ["record_id", "pred", "truth"])
+        assert pair_confusion_spark(df) == {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+        assert fp_measure_spark(df) == 1.0
+
+    def test_one_cluster_against_singletons(self, spark):
+        rows = [(i, 0, i) for i in range(5)]
+        df = spark.createDataFrame(rows, ["record_id", "pred", "truth"])
+        pred = {r: p for r, p, _ in rows}
+        truth = {r: t for r, _, t in rows}
+        assert pair_confusion_spark(df) == pair_confusion(pred, truth)
+        assert purity_spark(df) == purity(pred, truth) == 1 / 5
+        assert inverse_purity_spark(df) == 1.0
+
+
 class TestAgainstDuckDB:
     def test_contingency_oracle(self, assign_df):
         df, _, _ = assign_df
