@@ -13,7 +13,8 @@ Subpackages
     with a calibrated error model plus token/cost/latency accounting.
 ``blocking``
     LSH, filtering (prefix-filtered Jaccard join) and canopy blocking
-    substrates, expressed as Spark DataFrame jobs.
+    substrates in NumPy/Python. The only Spark LSH is
+    ``core.spark_pipeline.lsh_assign_blocks``.
 ``core``
     The paper's contribution: NRS (Alg. 1), MDG (Alg. 2), CMR (Alg. 3),
     the end-to-end per-block pipeline (Alg. 4), clustering metrics, and

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.records import Record
+from ..core.unionfind import UnionFind
 from ..embed.similarity import cosine_matrix
 from ..llm.simulated import SimulatedLLM
 
@@ -31,23 +32,13 @@ _TOOL_NOISE = 0.16
 def _threshold_partition(sims: np.ndarray, t: float) -> np.ndarray:
     """Connected components of the similarity graph at threshold t."""
     n = sims.shape[0]
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(range(n))
     for i in range(n):
         for k in range(i + 1, n):
             if sims[i, k] >= t:
-                ra, rb = find(i), find(k)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    roots = [find(i) for i in range(n)]
-    remap = {r: j for j, r in enumerate(dict.fromkeys(roots))}
-    return np.array([remap[r] for r in roots])
+                uf.union(i, k)
+    label = {root: j for j, root in enumerate(uf.groups())}
+    return np.array([label[uf.find(i)] for i in range(n)])
 
 
 def booster_er_block(

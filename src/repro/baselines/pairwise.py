@@ -17,22 +17,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.records import Record
+from ..core.unionfind import UnionFind
 from ..embed.similarity import cosine_matrix
 from ..llm.simulated import SimulatedLLM
 
 
-class TransitiveState:
+class TransitiveState(UnionFind):
     """Union-find + anti-edges over record indices, with inference."""
 
     def __init__(self, n: int):
-        self.parent = list(range(n))
+        super().__init__(range(n))
         self.anti: dict[int, set[int]] = {}
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
 
     def inferred(self, a: int, b: int) -> bool | None:
         """True=same / False=different if decidable, else None."""
@@ -44,11 +39,10 @@ class TransitiveState:
         return None
 
     def record_same(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        drop = self.union(a, b)
+        if drop is None:
             return
-        keep, drop = min(ra, rb), max(ra, rb)
-        self.parent[drop] = keep
+        keep = self.parent[drop]
         merged = self.anti.pop(drop, set()) | self.anti.get(keep, set())
         if merged:
             self.anti[keep] = merged

@@ -19,6 +19,7 @@ import numpy as np
 
 from ..core.nrs import kmeans
 from ..core.records import Record
+from ..core.unionfind import UnionFind
 from ..embed.similarity import cosine_matrix
 
 
@@ -36,33 +37,15 @@ def band_signatures(
     return out
 
 
-class _UF:
-    def __init__(self, n: int):
-        self.p = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[max(ra, rb)] = min(ra, rb)
-
-
 def blocks_from_edges(
     records: list[Record], edges: "list[tuple[int, int]]"
 ) -> list[list[Record]]:
     """Connected components over positional edges → blocks."""
-    uf = _UF(len(records))
+    uf = UnionFind(range(len(records)))
     for a, b in edges:
         uf.union(a, b)
-    comps: dict[int, list[Record]] = {}
-    for i, r in enumerate(records):
-        comps.setdefault(uf.find(i), []).append(r)
-    return sorted(comps.values(), key=lambda b: min(r.rid for r in b))
+    comps = [[records[i] for i in m] for m in uf.groups().values()]
+    return sorted(comps, key=lambda b: min(r.rid for r in b))
 
 
 def purify_block(

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..embed.similarity import cosine
 from .records import Record
+from .unionfind import UnionFind
 
 
 @dataclass
@@ -157,14 +158,7 @@ def apply_merge_result(
     """
     survivors = {it.iid: it for it in items}
     # union-find over item ids driven by the rep clusterings
-    parent: dict[int, int] = {iid: iid for iid in survivors}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(survivors)
     n_merges = 0
     for rset, clustering in zip(round_sets, rep_clusterings):
         by_rep = {it.rep.rid: it for it in rset}
@@ -178,18 +172,17 @@ def apply_merge_result(
             for k in range(i + 1, len(ids)):
                 a, b = ids[i], ids[k]
                 if cluster_of.get(a, -1) == cluster_of.get(b, -2):
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
+                    if uf.union(a, b) is not None:
                         n_merges += 1
                 else:  # anti-transitivity: co-packed, not merged
                     survivors[a].anti.add(b)
                     survivors[b].anti.add(a)
 
     # rebuild the item list with merged groups collapsed
-    groups: dict[int, list[Item]] = {}
-    for iid, it in survivors.items():
-        groups.setdefault(find(iid), []).append(it)
+    groups = {
+        root: [survivors[iid] for iid in iids]
+        for root, iids in uf.groups().items()
+    }
     old_to_new: dict[int, int] = {}
     new_items: list[Item] = []
     for root in sorted(groups):

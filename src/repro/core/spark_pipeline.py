@@ -9,9 +9,13 @@ components (blocks); and each block is resolved *independently* inside
 driver path (purification and oversize splitting included). Per-block
 ledgers come back as columns and are aggregated with Spark SQL.
 
-At temperature 0 the simulated LLM is a pure function of record-id
-sets, so the distributed run produces byte-identical assignments to
-the single-process path — asserted by the integration tests.
+The distributed run is *not* byte-identical to the single-process path
+(:func:`repro.experiments.harness.run_er`): the driver resolves its
+``i``-th block with ``seed + i``, while every Spark block gets the same
+``seed``. At Alaska scale 0.25, seed 0, Spark makes 689 LLM calls and
+the driver 700. The integration tests enforce that every record is
+assigned exactly once and that the two paths' FP-measures differ by
+less than 0.15 on the same data, nothing stronger.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from ..embed.hashing import tokens as _tokens
 from ..llm.profiles import GPT_4O_MINI, PROFILES, LLMProfile
 from ..llm.simulated import SimulatedLLM
 from .records import Record, serialize_frame, strip_attr_labels
+from .unionfind import UnionFind
 
 
 def records_df(
@@ -102,20 +107,10 @@ def lsh_assign_blocks(
         sub = cosine_matrix(np.stack([vec_of[r] for r in rids]))
         ii, kk = np.where(np.triu(sub, 1) >= threshold)
         edges.extend((rids[int(a)], rids[int(c)]) for a, c in zip(ii, kk))
-    all_ids = list(vec_of)
-    parent = {rid: rid for rid in all_ids}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(vec_of)
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    mapping = [(rid, find(rid)) for rid in all_ids]
+        uf.union(a, b)
+    mapping = [(rid, uf.find(rid)) for rid in vec_of]
     spark = df.sparkSession
     block_map = spark.createDataFrame(mapping, ["record_id", "block_id"])
     return df.drop("sigs").join(block_map, on="record_id", how="inner")

@@ -11,6 +11,8 @@ together, dispersion preserved); benchmarks pick the scale via the
 """
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 import pandas as pd
 
@@ -463,3 +465,32 @@ def table19(scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
                  "paper_calls": pap[2]}
             )
     return pd.DataFrame(rows)
+
+
+#: Every table builder, keyed by the name its results are published
+#: under (``benchmarks/results/<key>.csv`` and one EXPERIMENTS.md
+#: section): key → (title, ``build(scale, seed)``). ``jobs/run_table.py``
+#: and ``benchmarks/bench_tables.py`` both run from this registry.
+TABLES: dict[str, tuple[str, Callable[[float, int], pd.DataFrame]]] = {
+    "table1": (
+        "Table 1: dataset statistics (synthetic vs paper)",
+        lambda scale, seed: table1(scale),
+    ),
+    "table2": ("Table 2: in-context clustering vs pairwise matching", table2),
+    "table3": ("Table 3: record sets per hierarchy level", table3),
+    "table4": ("Table 4: LLM-CER vs Booster / BQ / CrowdER+LLM", table4),
+    "table5": ("Table 5: optimal Ss/Sd vs attribute count and types", table5),
+    "table6": ("Table 6: end-to-end ER vs attribute count", table6),
+    "table7": ("Table 7: end-to-end ER vs attribute types", table7),
+    "table8": ("Table 8 (+15): MDG ablation", table8),
+    "table9": ("Appendix Table 9: optimal factors per LLM", table9),
+    "table10": ("Appendix Table 10: GPT vs Llama", table10),
+    "table11_12_13": (
+        "Appendix Tables 11-13: entity dispersion", table11_12_13,
+    ),
+    "table14": ("Appendix Table 14: blocking ablation", table14),
+    "table16": ("Appendix Table 16: vs Ditto / DeepMatcher", table16),
+    "table17": ("Appendix Table 17: few-shot learning", table17),
+    "table18": ("Appendix Table 18: similarity vs random merging", table18),
+    "table19": ("Appendix Table 19: batch processing", table19),
+}

@@ -40,6 +40,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..core.records import Record
+from ..core.unionfind import UnionFind
 from ..embed.similarity import jaccard
 from .accounting import Ledger
 from .profiles import GPT_4O_MINI, LLMProfile
@@ -58,22 +59,6 @@ def _stable_seed(*parts: object) -> int:
             h ^= ord(ch)
             h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h & 0x7FFFFFFF
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.p = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[max(ra, rb)] = min(ra, rb)
 
 
 def pair_ambiguity(a: Record, b: Record, same: bool) -> float:
@@ -239,7 +224,7 @@ class SimulatedLLM:
                     for r in members[cut:]:
                         eff_truth[r.rid] = pseudo
                     pseudo -= 1
-        uf = _UnionFind(n)
+        uf = UnionFind(range(n))
         for i in range(n):
             for k in range(i + 1, n):
                 a, b = records[i], records[k]
@@ -248,10 +233,8 @@ class SimulatedLLM:
                 judged_same = same_seen ^ (rng.random() < err)
                 if judged_same:
                     uf.union(i, k)
-        groups: dict[int, list[Record]] = {}
-        for i in range(n):
-            groups.setdefault(uf.find(i), []).append(records[i])
-        return sorted(groups.values(), key=lambda c: min(r.rid for r in c))
+        groups = [[records[i] for i in m] for m in uf.groups().values()]
+        return sorted(groups, key=lambda c: min(r.rid for r in c))
 
     def _hallucinate(
         self, clusters: list[list[Record]], rng: np.random.Generator

@@ -1,8 +1,31 @@
 """Smoke tests for the table builders (tiny scale; full runs live in
 benchmarks/)."""
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import tables
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestRegistry:
+    def test_built_tables_are_published_tables(self):
+        """Every registered table has an EXPERIMENTS.md section and a
+        committed results CSV, and nothing is published unbuilt."""
+        path = ROOT / "jobs" / "build_experiments_md.py"
+        spec = importlib.util.spec_from_file_location("experiments_md", path)
+        md = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(md)
+        sections = [name for name, _, _ in md.SECTIONS]
+        csvs = {p.stem for p in (ROOT / "benchmarks" / "results").glob("*.csv")}
+        assert list(tables.TABLES) == sections
+        assert set(sections) == csvs
+
+    def test_table1_entry_ignores_seed(self):
+        _, build = tables.TABLES["table1"]
+        assert build(0.05, 7).equals(tables.table1(scale=0.05))
 
 
 class TestTable1:
