@@ -1,9 +1,10 @@
 """spark-submit entrypoint for the distributed LLM-CER pipeline.
 
 Runs the full Spark dataflow on one dataset: records DF → embedding
-pandas UDF → LSH bucket shuffle → per-block Algorithm 4 via
-``applyInPandas`` → Spark-SQL metric aggregation, and prints quality +
-ledger totals.
+pandas UDF → LSH blocking of the collected records (the driver path's
+``lsh_blocks``) → per-block Algorithm 4 via ``applyInPandas`` →
+Spark-SQL metric aggregation, and prints quality + ledger totals.
+``--seed s`` gives the same result as ``harness.run_er(seed=s)``.
 
 Usage: ``spark-submit jobs/run_pipeline.py --dataset cora --scale 1.0``
 """
@@ -27,13 +28,14 @@ def main() -> None:
     )
     from repro.datasets.generator import generate
     from repro.datasets.registry import spec as get_spec
+    from repro.llm.accounting import Ledger
     from repro.llm.profiles import GPT_4O_MINI
 
     spark = spark_session()
     sp = get_spec(args.dataset, args.scale)
     pdf = generate(sp)
     df = records_df(spark, pdf, sp)
-    blocked = lsh_assign_blocks(df, seed=args.seed)
+    blocked = lsh_assign_blocks(df)
     result = resolve_blocks_distributed(blocked, seed=args.seed).cache()
 
     truth = dict(zip(pdf.record_id.astype(int), pdf.entity_id.astype(int)))
@@ -46,11 +48,7 @@ def main() -> None:
     adf = spark.createDataFrame(rows, ["record_id", "pred", "truth"])
     fp_spark = fp_measure_spark(adf)
 
-    profile = GPT_4O_MINI
-    cost = (
-        led["in_tokens"] * profile.input_price_per_m
-        + led["out_tokens"] * profile.output_price_per_m
-    ) / 1e6
+    cost = Ledger(GPT_4O_MINI, **led).cost_usd
     print(f"dataset={args.dataset} scale={args.scale} records={len(pdf)}")
     print(
         "  quality: "

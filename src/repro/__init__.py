@@ -13,8 +13,8 @@ Subpackages
     with a calibrated error model plus token/cost/latency accounting.
 ``blocking``
     LSH, filtering (prefix-filtered Jaccard join) and canopy blocking
-    substrates in NumPy/Python. The only Spark LSH is
-    ``core.spark_pipeline.lsh_assign_blocks``.
+    substrates in NumPy/Python. The Spark pipeline blocks with the
+    same ``lsh_blocks`` (``core.spark_pipeline.lsh_assign_blocks``).
 ``core``
     The paper's contribution: NRS (Alg. 1), MDG (Alg. 2), CMR (Alg. 3),
     the end-to-end per-block pipeline (Alg. 4), clustering metrics, and

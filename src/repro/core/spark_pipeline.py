@@ -1,21 +1,23 @@
 """Distributed LLM-CER over Spark DataFrames.
 
 Dataflow (DESIGN.md §Layering): the generated dataset becomes a Spark
-DataFrame; records are serialized and embedded with a pandas UDF; LSH
-band signatures are computed in Spark and shuffled (``groupBy``) into
-buckets; bucket co-membership edges are folded into connected
-components (blocks); and each block is resolved *independently* inside
-``applyInPandas`` running the exact same per-block Algorithm 4 as the
-driver path (purification and oversize splitting included). Per-block
-ledgers come back as columns and are aggregated with Spark SQL.
+DataFrame; records are serialized and embedded with a pandas UDF; the
+embedded records are collected to the driver and blocked by the one LSH
+blocking function, :func:`repro.blocking.lsh.lsh_blocks`; the block map
+is joined back, and each block is resolved *independently* inside
+``applyInPandas`` running the same per-block Algorithm 4 as the driver
+path. Per-block ledgers come back as columns and are aggregated with
+Spark SQL. Spark thus distributes the embedding and the per-block
+resolution; blocking itself runs once, on the driver.
 
-The distributed run is *not* byte-identical to the single-process path
-(:func:`repro.experiments.harness.run_er`): the driver resolves its
-``i``-th block with ``seed + i``, while every Spark block gets the same
-``seed``. At Alaska scale 0.25, seed 0, Spark makes 689 LLM calls and
-the driver 700. The integration tests enforce that every record is
-assigned exactly once and that the two paths' FP-measures differ by
-less than 0.15 on the same data, nothing stronger.
+The distributed run gives exactly the single-process result
+(:func:`repro.experiments.harness.run_er` with ``method="llm_cer"``) on
+the same records: the blocks are ``lsh_blocks``'s list, block ``i`` is
+resolved over its records in ``record_id`` order with ``seed + i``, and
+the oracle is seeded per call from record ids, so the partition and the
+ledger's integer columns are equal; the summed ``sim_time_s`` differs
+only by float summation order. The integration tests enforce this, also
+with the input frames cached first (a different physical plan).
 """
 from __future__ import annotations
 
@@ -27,14 +29,13 @@ from pyspark.sql.types import (
     DoubleType, LongType, StringType, StructField, StructType,
 )
 
+from ..blocking.lsh import lsh_blocks
 from ..datasets.schema import DatasetSpec
 from ..embed.hashing import DEFAULT_DIM, embed_udf
 from ..embed.hashing import tokens as _tokens
 from ..llm.profiles import GPT_4O_MINI, PROFILES, LLMProfile
 from ..llm.simulated import SimulatedLLM
 from .records import Record, serialize_frame, strip_attr_labels
-from .unionfind import UnionFind
-
 
 def records_df(
     spark: SparkSession, pdf: pd.DataFrame, spec: DatasetSpec
@@ -42,78 +43,41 @@ def records_df(
     """Dataset frame → Spark DF with serialized text and embeddings."""
     base = pdf[["record_id", "entity_id"]].copy()
     base["text"] = serialize_frame(pdf, spec)
-    df = spark.createDataFrame(base)
+    df = spark.createDataFrame(
+        base, "record_id long, entity_id long, text string"
+    )
     emb_text = F.udf(strip_attr_labels, StringType())(F.col("text"))
     return df.withColumn("vec", embed_udf(DEFAULT_DIM)(emb_text))
 
 
-def lsh_assign_blocks(
-    df: DataFrame,
-    *,
-    n_bands: int = 6,
-    band_bits: int = 5,
-    threshold: float = 0.35,
-    seed: int = 0,
-) -> DataFrame:
-    """Add a ``block_id`` column via distributed LSH bucketing.
-
-    Band signatures are computed per record with a pandas UDF; the
-    (band, signature) → records shuffle happens in Spark. Candidate
-    pairs within a bucket are verified against the cosine threshold
-    ``b_t`` (same rule as :func:`repro.blocking.lsh.lsh_blocks`) and
-    the union-find over verified edges runs on the driver — the edge
-    list is tiny relative to the data.
-    """
-    dim = DEFAULT_DIM
-
-    @F.pandas_udf(StringType())
-    def _sigs(vecs: pd.Series) -> pd.Series:
-        g = np.random.default_rng(seed)
-        planes = [g.normal(size=(band_bits, dim)) for _ in range(n_bands)]
-        out = []
-        for v in vecs:
-            a = np.asarray(v, dtype=np.float64)
-            sig = [
-                int(((a @ p.T) > 0) @ (1 << np.arange(band_bits)))
-                for p in planes
-            ]
-            out.append(",".join(map(str, sig)))
-        return pd.Series(out)
-
-    with_sig = df.withColumn("sigs", _sigs(F.col("vec")))
-    exploded = (
-        with_sig.select(
-            "record_id", F.posexplode(F.split("sigs", ","))
+def _records(pdf: pd.DataFrame) -> list[Record]:
+    """Rows with ``record_id``/``text``/``vec`` → records, in row order."""
+    return [
+        Record(
+            rid=int(row.record_id),
+            text=row.text,
+            vec=np.asarray(row.vec, dtype=np.float32),
+            tokens=_tokens(row.text),
         )
-        .withColumnRenamed("pos", "band")
-        .withColumnRenamed("col", "sig")
-    )
-    # bucket shuffle: records sharing (band, sig) land in one group
-    buckets = exploded.groupBy("band", "sig").agg(
-        F.collect_list("record_id").alias("rids")
-    )
-    vec_rows = df.select("record_id", "vec").collect()
-    vec_of = {
-        int(r["record_id"]): np.asarray(r["vec"], dtype=np.float64)
-        for r in vec_rows
-    }
-    edges: list[tuple[int, int]] = []
-    from ..embed.similarity import cosine_matrix
+        for row in pdf.itertuples()
+    ]
 
-    for row in buckets.select("rids").collect():
-        rids = [int(x) for x in row["rids"]]
-        if len(rids) < 2:
-            continue
-        sub = cosine_matrix(np.stack([vec_of[r] for r in rids]))
-        ii, kk = np.where(np.triu(sub, 1) >= threshold)
-        edges.extend((rids[int(a)], rids[int(c)]) for a, c in zip(ii, kk))
-    uf = UnionFind(vec_of)
-    for a, b in edges:
-        uf.union(a, b)
-    mapping = [(rid, uf.find(rid)) for rid in vec_of]
-    spark = df.sparkSession
-    block_map = spark.createDataFrame(mapping, ["record_id", "block_id"])
-    return df.drop("sigs").join(block_map, on="record_id", how="inner")
+
+def lsh_assign_blocks(df: DataFrame, *, seed: int = 0) -> DataFrame:
+    """Add a ``block_id`` column: the record's block in ``lsh_blocks``.
+
+    The records are collected in ``record_id`` order (the order of
+    :func:`repro.experiments.harness.prepare`'s records) and blocked by
+    :func:`repro.blocking.lsh.lsh_blocks`; ``block_id`` is the block's
+    position in that list, the ``i`` the driver path resolves it with.
+    """
+    pdf = df.select("record_id", "text", "vec").toPandas()
+    blocks = lsh_blocks(_records(pdf.sort_values("record_id")), seed=seed)
+    mapping = [(r.rid, bi) for bi, blk in enumerate(blocks) for r in blk]
+    block_map = df.sparkSession.createDataFrame(
+        mapping, "record_id long, block_id long"
+    )
+    return df.join(block_map, on="record_id", how="inner")
 
 
 _RESULT_SCHEMA = StructType(
@@ -137,63 +101,46 @@ def resolve_blocks_distributed(
     s_s: int = 9,
     s_d: int = 4,
     use_mdg: bool = True,
-    purify_threshold: float = 0.35,
-    max_block_size: int = 200,
     seed: int = 0,
 ) -> DataFrame:
     """applyInPandas per-block Algorithm 4 → assignments + ledgers.
 
+    Block ``b`` is resolved over its records in ``record_id`` order
+    with ``seed + b``, as the driver path resolves its ``b``-th block.
     Output columns: record_id, block_id, ``label`` (globally unique
-    string ``block/sub/local``), per-block ledger totals (repeated on
-    each of the block's rows — aggregate with ``ledger_totals``), and
-    the block's per-level record-set counts as a CSV string.
+    string ``block/local``), per-block ledger totals (repeated on each
+    of the block's rows — aggregate with ``ledger_totals``), and the
+    block's per-level record-set counts as a CSV string.
     """
     profile_name = profile.name
 
     def _resolve(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-        from ..blocking.lsh import purify_block, split_oversized
         from .pipeline import resolve_block
 
         block_id = int(key[0])
-        recs = [
-            Record(
-                rid=int(row.record_id),
-                text=row.text,
-                vec=np.asarray(row.vec, dtype=np.float32),
-                tokens=_tokens(row.text),
-            )
-            for row in pdf.itertuples()
-        ]
+        pdf = pdf.sort_values("record_id")
         truth = dict(
             zip(pdf["record_id"].astype(int), pdf["entity_id"].astype(int))
         )
         llm = SimulatedLLM(truth, PROFILES[profile_name], seed=seed)
-        rows = []
-        sub = 0
-        level_counts: list[int] = []
-        for part in split_oversized(recs, max_block_size, seed):
-            for blk in purify_block(part, purify_threshold):
-                res = resolve_block(
-                    blk, llm, s_s=s_s, s_d=s_d, use_mdg=use_mdg, seed=seed
-                )
-                for i, cnt in enumerate(res.level_set_counts):
-                    if i >= len(level_counts):
-                        level_counts.append(0)
-                    level_counts[i] += cnt
-                for rid, lab in res.assignment.items():
-                    rows.append((rid, block_id, f"{block_id}/{sub}/{lab}"))
-                sub += 1
+        res = resolve_block(
+            _records(pdf), llm, s_s=s_s, s_d=s_d, use_mdg=use_mdg,
+            seed=seed + block_id,
+        )
         led = llm.ledger
         return pd.DataFrame(
             {
-                "record_id": [r[0] for r in rows],
-                "block_id": [r[1] for r in rows],
-                "label": [r[2] for r in rows],
+                "record_id": list(res.assignment),
+                "block_id": block_id,
+                "label": [
+                    f"{block_id}/{lab}" for lab in res.assignment.values()
+                ],
                 "n_calls": led.n_calls,
                 "in_tokens": led.in_tokens,
                 "out_tokens": led.out_tokens,
                 "sim_time_s": led.sim_time_s,
-                "level_counts": ",".join(map(str, level_counts)) or "0",
+                "level_counts": ",".join(map(str, res.level_set_counts))
+                or "0",
             }
         )
 

@@ -1,6 +1,7 @@
 """Spark-SQL metrics vs pure-Python metrics vs DuckDB oracle."""
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.metrics import (
     fp_measure, inverse_purity, pair_confusion, purity,
@@ -101,6 +102,32 @@ class TestAgainstDuckDB:
         finally:
             con.close()
         assert tp_spark == tp_sql
+
+
+class TestOracle:
+    def test_groupby_aggregation(self, assign_df):
+        df, _, _ = assign_df
+        out = df.groupBy("pred").agg(
+            F.count("*").alias("cnt"),
+            F.round(F.avg("truth"), 2).alias("mean_truth"),
+        )
+        assert_equivalent(
+            out,
+            "SELECT pred, COUNT(*) AS cnt, "
+            "ROUND(AVG(truth), 2) AS mean_truth "
+            "FROM assign GROUP BY pred",
+            assign=df,
+        )
+
+    def test_catches_wrong_result(self, assign_df):
+        df, _, _ = assign_df
+        wrong = df.groupBy("pred").agg((F.count("*") + 1).alias("cnt"))
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                wrong,
+                "SELECT pred, COUNT(*) AS cnt FROM assign GROUP BY pred",
+                assign=df,
+            )
 
 
 class TestEndToEndMetricPath:
