@@ -15,7 +15,8 @@ sequentially-ordered prompt, and the set is re-clustered. The best
 attempt (fewest violations) wins; if the model never returns a
 structurally valid answer, we fall back to all-singletons, which is
 safe because hierarchical merging can still unite true duplicates
-later.
+later. One guard serves both one-set calls (``cluster_with_guardrail``)
+and batched calls (``cluster_batch_with_guardrail``, Appendix A.10).
 """
 from __future__ import annotations
 
@@ -123,40 +124,87 @@ def regenerate_order(
     return [r for c in order for r in c]
 
 
-def cluster_with_guardrail(
-    llm: "SimulatedLLM",
-    records: list[Record],
-    *,
-    use_mdg: bool = True,
-    max_retries: int = 1,
-) -> list[list[Record]]:
-    """In-context clustering of one record set, guarded by MDG.
+#: LLM answers MDG asks for per record set: the first answer plus one
+#: regenerated (or, after a structural reject, fresh) re-ask
+ATTEMPTS = 2
 
-    Without MDG (ablation mode, Table 8) the first structurally usable
-    answer is taken as-is; a structurally broken answer is repaired by
-    dropping duplicates / restoring dropped records as singletons,
-    because downstream code requires a partition.
-    """
-    order = list(records)
-    best: list[list[Record]] | None = None
-    best_violations = np.inf
-    for attempt in range(max_retries + 1):
-        clusters = llm.cluster_records(order, salt=attempt)
-        if not structurally_valid(records, clusters):
-            if not use_mdg:
-                return _repair(records, clusters)
-            continue  # retry with a fresh draw
-        if not use_mdg:
-            return clusters
+
+class _Guard:
+    """MDG state of one record set across its attempts."""
+
+    def __init__(self, records: list[Record], use_mdg: bool):
+        self.records = records
+        self.use_mdg = use_mdg
+        self.order = list(records)  # the next prompt's record order
+        # all singletons stand unless an attempt is structurally valid
+        self.best = [[r] for r in records]
+        self.best_violations = np.inf
+        self.done = False
+
+    def offer(self, clusters: list[list[Record]]) -> None:
+        """Judge one answer to ``self.order``.
+
+        Without MDG (ablation mode, Table 8) the first answer is taken
+        as-is; a structurally broken one is repaired by dropping
+        duplicates / restoring dropped records as singletons, because
+        downstream code requires a partition.
+        """
+        if not structurally_valid(self.records, clusters):
+            if not self.use_mdg:
+                self.best, self.done = _repair(self.records, clusters), True
+            return  # with MDG: a fresh draw next attempt
+        if not self.use_mdg:
+            self.best, self.done = clusters, True
+            return
         bad = misclustered(clusters)
-        if len(bad) < best_violations:
-            best, best_violations = clusters, len(bad)
-        if not bad:
+        if len(bad) < self.best_violations:
+            self.best, self.best_violations = clusters, len(bad)
+        if bad:
+            self.order = regenerate_order(clusters, bad)
+        else:
+            self.done = True
+
+
+def cluster_with_guardrail(
+    llm: "SimulatedLLM", records: list[Record], *, use_mdg: bool = True
+) -> list[list[Record]]:
+    """In-context clustering of one record set, guarded by MDG."""
+    guard = _Guard(records, use_mdg)
+    for attempt in range(ATTEMPTS):
+        guard.offer(llm.cluster_records(guard.order, salt=attempt))
+        if guard.done:
             break
-        order = regenerate_order(clusters, bad)
-    if best is None:  # every attempt hallucinated structurally
-        return [[r] for r in records]
-    return best
+    return guard.best
+
+
+def cluster_batch_with_guardrail(
+    llm: "SimulatedLLM",
+    rsets: list[list[Record]],
+    *,
+    use_mdg: bool,
+    batch_size: int,
+) -> list[list[list[Record]]]:
+    """MDG-guarded clustering of many record sets, ``batch_size`` sets
+    per API call (Appendix A.10).
+
+    MDG-rejected sets are re-asked in *batches* as well — the whole
+    point of Appendix A.10 is that retries must not fall back to one
+    call per set, or the batching saving evaporates.
+    """
+    guards = [_Guard(rset, use_mdg) for rset in rsets]
+    pending = guards
+    for attempt in range(ATTEMPTS):
+        for b0 in range(0, len(pending), batch_size):
+            chunk = pending[b0 : b0 + batch_size]
+            answers = llm.cluster_batch(
+                [g.order for g in chunk], salt=attempt * 10_000 + b0
+            )
+            for guard, clusters in zip(chunk, answers):
+                guard.offer(clusters)
+        pending = [g for g in pending if not g.done]
+        if not pending:
+            break
+    return [g.best for g in guards]
 
 
 def _repair(

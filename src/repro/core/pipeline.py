@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .cmr import Item, apply_merge_result, build_round_sets
-from .mdg import cluster_with_guardrail
+from .mdg import cluster_batch_with_guardrail, cluster_with_guardrail
 from .nrs import record_sets_for_block
 from .records import Record
 
@@ -123,51 +123,6 @@ def _cluster_sets(
             cluster_with_guardrail(llm, rset, use_mdg=use_mdg)
             for rset in rsets
         ]
-    from .mdg import (
-        _repair, misclustered, regenerate_order, structurally_valid,
+    return cluster_batch_with_guardrail(
+        llm, rsets, use_mdg=use_mdg, batch_size=batch_size
     )
-
-    n = len(rsets)
-    results: list[list[list[Record]] | None] = [None] * n
-    best: dict[int, tuple[float, list[list[Record]]]] = {}
-    order: dict[int, list[Record]] = {i: rsets[i] for i in range(n)}
-    pending = list(range(n))
-    # MDG-rejected sets are re-asked in *batches* as well — the whole
-    # point of Appendix A.10 is that retries must not fall back to one
-    # call per set, or the batching saving evaporates
-    for attempt in range(2):
-        answers: dict[int, list[list[Record]]] = {}
-        for b0 in range(0, len(pending), batch_size):
-            chunk_ids = pending[b0 : b0 + batch_size]
-            raw = llm.cluster_batch(
-                [order[i] for i in chunk_ids], salt=attempt * 10_000 + b0
-            )
-            answers.update(dict(zip(chunk_ids, raw)))
-        still: list[int] = []
-        for i, clusters in answers.items():
-            if not structurally_valid(rsets[i], clusters):
-                if not use_mdg:
-                    results[i] = _repair(rsets[i], clusters)
-                else:
-                    still.append(i)  # fresh draw next attempt
-                continue
-            if not use_mdg:
-                results[i] = clusters
-                continue
-            bad = misclustered(clusters)
-            if len(bad) < best.get(i, (float("inf"), None))[0]:
-                best[i] = (len(bad), clusters)
-            if not bad:
-                results[i] = clusters
-            else:
-                order[i] = regenerate_order(clusters, bad)
-                still.append(i)
-        pending = still
-        if not pending:
-            break
-    for i in range(n):
-        if results[i] is None:
-            results[i] = (
-                best[i][1] if i in best else [[r] for r in rsets[i]]
-            )
-    return results  # type: ignore[return-value]

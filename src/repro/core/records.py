@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from ..datasets.generator import serialize_row
 from ..datasets.schema import DatasetSpec
 from ..embed.hashing import DEFAULT_DIM, embed_batch
 from ..embed.hashing import tokens as _tokens

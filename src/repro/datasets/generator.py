@@ -24,7 +24,6 @@ import string
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from .schema import AttrSpec, DatasetSpec
 
@@ -231,8 +230,3 @@ def serialize_row(row: pd.Series | dict, attrs: tuple[AttrSpec, ...]) -> str:
             s = str(v)
         parts.append(f"{a.name}: {s}")
     return " | ".join(parts)
-
-
-def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Lift a generated pandas frame into Spark."""
-    return spark.createDataFrame(pdf)

@@ -15,6 +15,8 @@ from collections.abc import Sequence
 import numpy as np
 import pandas as pd
 
+from ..core.factors import set_variation
+from ..core.mdg import structurally_valid
 from ..core.metrics import all_metrics, clusters_to_assignment
 from ..core.records import Record
 from ..llm.profiles import LLMProfile
@@ -36,7 +38,9 @@ def _allocate_sizes(
     elif sv_level == "relative":
         sizes = [base + (1 if i < extra else 0) for i in range(s_d)]
         # shift mass to the first cluster until CV enters the band
-        while len(sizes) > 1 and _cv(sizes) < 0.3 and min(sizes) > 1:
+        while (
+            len(sizes) > 1 and set_variation(sizes) < 0.3 and min(sizes) > 1
+        ):
             sizes[0] += 1
             sizes[int(np.argmax(sizes[1:])) + 1] -= 1
             sizes = sorted(sizes, reverse=True)
@@ -46,11 +50,6 @@ def _allocate_sizes(
         raise ValueError(f"unknown variation level {sv_level!r}")
     assert sum(sizes) == s_s
     return [s for s in sizes if s > 0]
-
-
-def _cv(sizes: Sequence[int]) -> float:
-    a = np.asarray(sizes, dtype=float)
-    return float(a.std() / a.mean()) if a.mean() else 0.0
 
 
 def controlled_record_set(
@@ -64,10 +63,7 @@ def controlled_record_set(
     """Sample one record set with the requested factor levels, or None
     if the dataset lacks entities with enough duplicates."""
     sizes = _allocate_sizes(s_s, s_d, sv_level, rng)
-    eligible = {
-        e: recs for e, recs in by_entity.items() if len(recs) >= max(sizes)
-    }
-    # fall back to matching each slot to any entity that can fill it
+    # match each slot to any entity that can fill it
     ents = list(by_entity)
     rng.shuffle(ents)
     chosen: list[tuple[int, int]] = []
@@ -85,7 +81,6 @@ def controlled_record_set(
             return None
         chosen.append((pick, size))
         used.add(pick)
-    del eligible
     groups: list[list[Record]] = []
     for e, size in chosen:
         pool = list(by_entity[e])
@@ -137,9 +132,7 @@ def sweep_config(
                 break
             continue
         clusters = llm.cluster_records(rset, salt=q, _account=False)
-        ids = {r.rid for r in rset}
-        out_ids = {r.rid for c in clusters for r in c}
-        if out_ids != ids or sum(len(c) for c in clusters) != len(rset):
+        if not structurally_valid(rset, clusters):
             accs.append(0.0)  # hallucinated answer scores zero
             fps.append(0.0)
             continue

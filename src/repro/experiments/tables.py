@@ -16,6 +16,7 @@ from collections.abc import Callable
 import numpy as np
 import pandas as pd
 
+from ..datasets import registry
 from ..datasets.generator import generate
 from ..datasets.registry import DISPLAY, SPECS
 from ..datasets.schema import DatasetSpec
@@ -27,16 +28,11 @@ from .sweeps import optimal_factors
 _T2_DATASETS = ("cora", "alaska", "as")
 
 
-def _spec(name: str, scale: float) -> DatasetSpec:
-    s = SPECS[name]
-    return s if scale == 1.0 else s.scaled(scale)
-
-
 def table1(scale: float = 1.0) -> pd.DataFrame:
     """Dataset statistics of the synthetic benchmarks vs Table 1."""
     rows = []
     for name, spec in SPECS.items():
-        s = _spec(name, scale)
+        s = registry.spec(name, scale)
         pdf = generate(s)
         n_ent = int(pdf["entity_id"].nunique())
         rows.append(
@@ -59,7 +55,7 @@ def table2(scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
     """In-context clustering (Ss=9) vs pairwise matching (Ss=2)."""
     rows = []
     for name in _T2_DATASETS:
-        spec = _spec(name, scale)
+        spec = registry.spec(name, scale)
         _, recs, truth = prepare(spec)
         for method in ("pairwise", "llm_cer"):
             r = run_er(spec, method, seed=seed, prepared=(recs, truth))
@@ -84,7 +80,7 @@ def table3(scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
     """Record sets per hierarchy level for LLM-CER."""
     rows = []
     for name in _T2_DATASETS:
-        r = run_er(_spec(name, scale), "llm_cer", seed=seed)
+        r = run_er(registry.spec(name, scale), "llm_cer", seed=seed)
         paper = P.TABLE3[name]
         width = max(len(r.level_counts), len(paper))
         row: dict[str, object] = {"dataset": DISPLAY[name]}
@@ -103,7 +99,7 @@ def table4(scale: float = 1.0, seed: int = 0, datasets=None) -> pd.DataFrame:
     method_keys = {"llm_cer": "llm_cer", "booster": "booster",
                    "bq": "bq", "crowder": "crowder"}
     for name in datasets or SPECS:
-        spec = _spec(name, scale)
+        spec = registry.spec(name, scale)
         _, recs, truth = prepare(spec)
         for method, key in method_keys.items():
             r = run_er(spec, method, seed=seed, prepared=(recs, truth))
@@ -126,7 +122,7 @@ def _attr_count_specs(scale: float) -> list[tuple[str, int, DatasetSpec]]:
     out = []
     for name, counts in (("cora", (4, 8, 12)), ("alaska", (3, 6, 9))):
         for k in counts:
-            out.append((name, k, _spec(name, scale).first_k_attrs(k)))
+            out.append((name, k, registry.spec(name, scale).first_k_attrs(k)))
     return out
 
 
@@ -134,7 +130,7 @@ _TYPE_VARIANTS = ("original", "wo_textual", "wo_numeric", "wo_categorical")
 
 
 def _type_spec(name: str, variant: str, scale: float) -> DatasetSpec:
-    s = _spec(name, scale)
+    s = registry.spec(name, scale)
     if variant == "original":
         return s
     kind = {"wo_textual": "T", "wo_numeric": "N", "wo_categorical": "C"}[
@@ -219,7 +215,7 @@ def table8(scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
     """MDG ablation — quality plus resource overhead (+ Table 15)."""
     rows = []
     for name in _T2_DATASETS:
-        spec = _spec(name, scale)
+        spec = registry.spec(name, scale)
         _, recs, truth = prepare(spec)
         for mdg in (False, True):
             r = run_er(
@@ -245,7 +241,7 @@ def table9(
     scale: float = 1.0, seed: int = 0, n_questions: int = 60
 ) -> pd.DataFrame:
     """Optimal key factors per LLM profile (appendix Table 9)."""
-    spec = _spec("cora", scale)
+    spec = registry.spec("cora", scale)
     _, recs, truth = prepare(spec)
     rows = []
     for profile in (GPT_4O_MINI, LLAMA_3_2_1B):
@@ -264,7 +260,7 @@ def table10(scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
     """LLM-CER with GPT vs Llama profiles (appendix Table 10)."""
     rows = []
     for name in P.TABLE10:
-        spec = _spec(name, scale)
+        spec = registry.spec(name, scale)
         _, recs, truth = prepare(spec)
         for profile, key, (ss, sd) in (
             (GPT_4O_MINI, "gpt", (9, 4)),
@@ -328,7 +324,7 @@ def table14(scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
     """Blocking/filtering ablation (appendix Table 14)."""
     rows = []
     for name in ("cora", "as", "alaska"):
-        spec = _spec(name, scale)
+        spec = registry.spec(name, scale)
         _, recs, truth = prepare(spec)
         for blocking in ("none", "filter", "canopy", "lsh"):
             r = run_er(
@@ -354,7 +350,7 @@ def table16(
     """LLM-CER vs Ditto / DeepMatcher at 0/20/80% fine-tuning."""
     rows = []
     for name in datasets:
-        spec = _spec(name, scale)
+        spec = registry.spec(name, scale)
         _, recs, truth = prepare(spec)
         ours = run_er(spec, "llm_cer", seed=seed, prepared=(recs, truth))
         pap = P.TABLE16[name]
@@ -385,7 +381,7 @@ def table17(scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
     """Few-shot learning ± MDG (appendix Table 17)."""
     rows = []
     for name in ("wa", "citeseer"):
-        spec = _spec(name, scale)
+        spec = registry.spec(name, scale)
         _, recs, truth = prepare(spec)
         configs = {
             "zero": {"few_shot": 0, "use_mdg": True},
@@ -412,7 +408,7 @@ def table18(scale: float = 1.0, seed: int = 0, n_random: int = 3) -> pd.DataFram
     """Similarity-based vs random cluster merging (appendix Table 18)."""
     rows = []
     for name in ("cora", "alaska"):
-        spec = _spec(name, scale)
+        spec = registry.spec(name, scale)
         _, recs, truth = prepare(spec)
         sim = run_er(spec, "llm_cer", seed=seed, prepared=(recs, truth))
         pap = P.TABLE18[name]
@@ -449,7 +445,7 @@ def table19(scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
     """Batch processing of record sets (appendix Table 19)."""
     rows = []
     for name in ("citeseer", "wa"):
-        spec = _spec(name, scale)
+        spec = registry.spec(name, scale)
         _, recs, truth = prepare(spec)
         for batch, key in ((4, "batch"), (0, "no_batch")):
             r = run_er(

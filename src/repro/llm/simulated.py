@@ -39,8 +39,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..core.factors import sequentiality, set_variation
 from ..core.records import Record
 from ..core.unionfind import UnionFind
+from ..embed.hashing import _fnv1a
 from ..embed.similarity import jaccard
 from .accounting import Ledger
 from .profiles import GPT_4O_MINI, LLMProfile
@@ -53,12 +55,7 @@ _DEMO_TOKENS = 110
 
 def _stable_seed(*parts: object) -> int:
     """FNV-1a over the repr of the parts — stable across processes."""
-    h = 0xCBF29CE484222325
-    for part in parts:
-        for ch in repr(part):
-            h ^= ord(ch)
-            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h & 0x7FFFFFFF
+    return _fnv1a("".join(map(repr, parts))) & 0x7FFFFFFF
 
 
 def pair_ambiguity(a: Record, b: Record, same: bool) -> float:
@@ -144,27 +141,16 @@ class SimulatedLLM:
         shift += 4.0 * max(0.0, (30.0 - mean_tokens) / 30.0)
         return int(np.clip(round(p.capacity + shift), 4, 13))
 
-    def _set_penalty(self, records: Sequence[Record]) -> float:
+    def _set_penalty(self, records: Sequence[Record], cap: int) -> float:
         """Aggregate penalty from the §4.2 key factors for this set."""
         p = self.profile
-        n = len(records)
         ent = [self.truth[r.rid] for r in records]
-        sizes = np.bincount(np.unique(ent, return_inverse=True)[1])
-        s_v = float(sizes.std() / sizes.mean()) if sizes.mean() > 0 else 0.0
-        s_d = len(sizes)
-        # sequentiality: achieved adjacent same-entity pairs / max possible
-        achievable = int(np.sum(sizes - 1))
-        if achievable > 0:
-            achieved = sum(1 for i in range(n - 1) if ent[i] == ent[i + 1])
-            seq = achieved / achievable
-        else:
-            seq = 1.0
-        cap = self.effective_capacity(records)
+        sizes = np.unique(ent, return_counts=True)[1]
         pen = (
-            p.size_penalty * max(0, n - cap)
-            + p.variation_penalty * s_v
-            + p.diversity_penalty * abs(s_d - p.diversity_opt)
-            + p.ordering_penalty * (1.0 - seq)
+            p.size_penalty * max(0, len(records) - cap)
+            + p.variation_penalty * set_variation(sizes)
+            + p.diversity_penalty * abs(len(sizes) - p.diversity_opt)
+            + p.ordering_penalty * (1.0 - sequentiality(ent))
             + self.temperature * 0.15
         )
         return float(pen)
@@ -204,11 +190,18 @@ class SimulatedLLM:
     #: modelled as a correlated sub-split event
     _HOMOGENEITY_SPLIT = 0.28
 
-    def _judge_and_cluster(
-        self, records: Sequence[Record], rng: np.random.Generator, pen: float
+    def _answer(
+        self, records: Sequence[Record], salt: int, factor: float = 1.0
     ) -> list[list[Record]]:
+        """The model's answer for one record set (steps 1–4 of the
+        module docstring); ``factor`` scales the set penalty (batching,
+        Appendix A.10)."""
         n = len(records)
-        discount = self._context_discount(n, self.effective_capacity(records))
+        rng = self._rng([r.rid for r in records], salt)
+        cap = self.effective_capacity(records)
+        pen = self._set_penalty(records, cap) * factor
+        pen += max(0.0, factor - 1.0) * 0.05
+        discount = self._context_discount(n, cap)
         # coherent splits of large homogeneous groups: perturb the
         # oracle's own view of the entities for this call
         eff_truth = {r.rid: self.truth[r.rid] for r in records}
@@ -234,7 +227,10 @@ class SimulatedLLM:
                 if judged_same:
                     uf.union(i, k)
         groups = [[records[i] for i in m] for m in uf.groups().values()]
-        return sorted(groups, key=lambda c: min(r.rid for r in c))
+        clusters = sorted(groups, key=lambda c: min(r.rid for r in c))
+        if rng.random() < self.profile.hallucination_rate and n > 2:
+            clusters = self._hallucinate(clusters, rng)
+        return clusters
 
     def _hallucinate(
         self, clusters: list[list[Record]], rng: np.random.Generator
@@ -276,22 +272,21 @@ class SimulatedLLM:
         tout = 4 + 3 * len(records)
         return tin, tout
 
+    @staticmethod
+    def _check_distinct(records: Sequence[Record]) -> None:
+        if len({r.rid for r in records}) != len(records):
+            raise ValueError("duplicate records in a record set")
+
     def cluster_records(
         self, records: Sequence[Record], *, salt: int = 0, _account: bool = True
     ) -> list[list[Record]]:
         """One in-context clustering API call over a record set."""
         if not records:
             return []
-        if len({r.rid for r in records}) != len(records):
-            raise ValueError("duplicate records in a record set")
+        self._check_distinct(records)
         if _account:
             self.ledger.add_call(*self._cluster_tokens(records))
-        rng = self._rng([r.rid for r in records], salt)
-        pen = self._set_penalty(records)
-        clusters = self._judge_and_cluster(records, rng, pen)
-        if rng.random() < self.profile.hallucination_rate and len(records) > 2:
-            clusters = self._hallucinate(clusters, rng)
-        return clusters
+        return self._answer(records, salt)
 
     def cluster_batch(
         self, sets: Sequence[Sequence[Record]], *, salt: int = 0
@@ -307,20 +302,16 @@ class SimulatedLLM:
         tin = _PROMPT_OVERHEAD + self.few_shot * _FEW_SHOT_TOKENS
         tout = 0
         for s in sets:
+            self._check_distinct(s)
             tin += 12 + sum(r.n_tokens_llm for r in s)
             tout += 4 + 3 * len(s)
         self.ledger.add_call(tin, tout)
         b = len(sets)
         factor = 0.90 if 2 <= b <= 4 else (1.0 + 0.05 * max(0, b - 4))
-        out = []
-        for idx, s in enumerate(sets):
-            rng = self._rng([r.rid for r in s], salt * 1000 + idx)
-            pen = self._set_penalty(s) * factor + max(0.0, (factor - 1.0)) * 0.05
-            clusters = self._judge_and_cluster(s, rng, pen)
-            if rng.random() < self.profile.hallucination_rate and len(s) > 2:
-                clusters = self._hallucinate(clusters, rng)
-            out.append(clusters)
-        return out
+        return [
+            self._answer(s, salt * 1000 + idx, factor)
+            for idx, s in enumerate(sets)
+        ]
 
     # --------------------------------------------------------- pairwise call
 

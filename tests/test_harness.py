@@ -1,6 +1,11 @@
 """Tests for the experiment harness over small datasets."""
+import hashlib
+import json
+
 import pytest
 
+from repro.datasets.registry import spec
+from repro.experiments import harness
 from repro.experiments.harness import METHODS, RunResult, prepare, run_er
 
 
@@ -81,3 +86,49 @@ class TestRunEr:
         pdf, recs, truth = prepare(SPECS["as"], scale=0.05)
         assert len(recs) == len(pdf)
         assert len(recs) < SPECS["as"].n_records
+
+
+def _partition_hash(assignment: dict[int, int]) -> str:
+    """SHA-256 of each record's smallest cluster-mate, sorted by record."""
+    root: dict[int, int] = {}
+    for rid, lab in assignment.items():
+        root[lab] = min(root.get(lab, rid), rid)
+    part = sorted((rid, root[lab]) for rid, lab in assignment.items())
+    return hashlib.sha256(json.dumps(part).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name,scale,use_mdg,want",
+    [
+        ("citeseer", 0.05, True, (
+            "d68ad94f4dd759d0dd79e212683bb8b98b8c66f8a3e167505949130c356b91a2",
+            97, 21779, 1939)),
+        ("citeseer", 0.05, False, (
+            "5548ac6eb2b8e5e5490c736aecf896378833089e59b06a98d14cffa74ab69303",
+            85, 19213, 1713)),
+        ("wa", 0.1, True, (
+            "c17d6db91c13c6623cb09fd77b0eb1164dd25e02d23842b809e480a94edef0f7",
+            25, 19735, 2504)),
+        ("wa", 0.1, False, (
+            "24e8bfa7c8b13db19c95a28bc4545be9a8459d3f7eb9f08e259dd116a4246367",
+            24, 18470, 2307)),
+    ],
+    ids=["citeseer-mdg", "citeseer-nomdg", "wa-mdg", "wa-nomdg"],
+)
+def test_batched_run_golden(name, scale, use_mdg, want, monkeypatch):
+    """Batched clustering (Appendix A.10, Table 19's datasets) at seed 0
+    reproduces its pinned partition hash, n_calls, in_tokens and
+    out_tokens exactly, with and without MDG."""
+    make = harness.SimulatedLLM
+    llms = []
+
+    def capture(*args, **kwargs):
+        llms.append(make(*args, **kwargs))
+        return llms[-1]
+
+    monkeypatch.setattr(harness, "SimulatedLLM", capture)
+    r = run_er(spec(name, scale), "llm_cer", batch_size=4, use_mdg=use_mdg)
+    led = llms[-1].ledger
+    got = (_partition_hash(r.assignment), led.n_calls, led.in_tokens,
+           led.out_tokens)
+    assert got == want

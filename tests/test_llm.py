@@ -268,6 +268,13 @@ class TestBatchedCalls:
         assert len(outs) == 2
         assert llm.ledger.n_calls == 1
 
+    def test_cluster_batch_duplicate_input_rejected(self, easy_world):
+        recs, truth = easy_world
+        llm = SimulatedLLM(truth, GPT_4O_MINI)
+        with pytest.raises(ValueError, match="duplicate records"):
+            llm.cluster_batch([recs[:3], [recs[4], recs[5], recs[4]]])
+        assert llm.ledger.n_calls == 0
+
     def test_cluster_batch_empty(self, easy_world):
         _, truth = easy_world
         assert SimulatedLLM(truth, GPT_4O_MINI).cluster_batch([]) == []

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from repro.core.mdg import (
-    _repair, cluster_with_guardrail, mdg_accepts, misclustered,
-    regenerate_order, structurally_valid,
+    ATTEMPTS, _repair, cluster_batch_with_guardrail, cluster_with_guardrail,
+    mdg_accepts, misclustered, regenerate_order, structurally_valid,
 )
 from repro.core.records import Record
 from repro.embed.hashing import embed_text, tokens
@@ -153,5 +153,69 @@ class TestClusterWithGuardrail:
         a, b = two_entities
         truth = {r.rid: 0 for r in a} | {r.rid: 1 for r in b}
         llm = SimulatedLLM(truth, GPT_4O_MINI, seed=0)
-        cluster_with_guardrail(llm, a + b, max_retries=2)
-        assert llm.ledger.n_calls <= 3
+        cluster_with_guardrail(llm, a + b)
+        assert llm.ledger.n_calls <= ATTEMPTS
+
+
+class _DropLast:
+    """Stub LLM whose every answer lumps all records but the last one
+    into one cluster and drops the last one."""
+
+    def __init__(self):
+        self.record_calls = 0
+        self.batch_calls = 0
+
+    def cluster_records(self, records, *, salt=0):
+        self.record_calls += 1
+        return [list(records[:-1])]
+
+    def cluster_batch(self, sets, *, salt=0):
+        self.batch_calls += 1
+        return [[list(s[:-1])] for s in sets]
+
+
+def _ids(clusters):
+    return sorted(sorted(r.rid for r in c) for c in clusters)
+
+
+class TestEveryAttemptHallucinates:
+    """One guard behind both the per-set and the batched (A.10) path."""
+
+    def test_per_set_falls_back_to_singletons(self, two_entities):
+        a, b = two_entities
+        llm = _DropLast()
+        out = cluster_with_guardrail(llm, a + b)
+        assert llm.record_calls == ATTEMPTS
+        assert _ids(out) == [[r.rid] for r in a + b]
+
+    def test_batched_falls_back_to_singletons(self, two_entities):
+        a, b = two_entities
+        rsets = [a, b, a[:2], b[:2], a[1:]]  # 3 chunks of at most 2 sets
+        llm = _DropLast()
+        outs = cluster_batch_with_guardrail(
+            llm, rsets, use_mdg=True, batch_size=2
+        )
+        assert llm.batch_calls == ATTEMPTS * 3
+        assert llm.record_calls == 0
+        assert [_ids(o) for o in outs] == [
+            [[r.rid] for r in s] for s in rsets
+        ]
+
+    def test_no_mdg_per_set_repairs_first_answer(self, two_entities):
+        a, b = two_entities
+        llm = _DropLast()
+        out = cluster_with_guardrail(llm, a + b, use_mdg=False)
+        assert llm.record_calls == 1
+        assert _ids(out) == _ids([a + b[:-1], b[-1:]])
+
+    def test_no_mdg_batched_repairs_first_answer(self, two_entities):
+        a, b = two_entities
+        rsets = [a, b, a[:2], b[:2], a[1:]]
+        llm = _DropLast()
+        outs = cluster_batch_with_guardrail(
+            llm, rsets, use_mdg=False, batch_size=2
+        )
+        assert llm.batch_calls == 3
+        assert [_ids(o) for o in outs] == [
+            _ids([s[:-1], s[-1:]]) for s in rsets
+        ]

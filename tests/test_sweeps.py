@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from repro.core.factors import set_variation
 from repro.experiments.sweeps import (
-    SV_LEVELS, _allocate_sizes, _cv, controlled_record_set, factor_sweep,
+    SV_LEVELS, _allocate_sizes, controlled_record_set, factor_sweep,
     optimal_factors, records_by_entity, sweep_config,
 )
 from repro.llm.profiles import GPT_4O_MINI
@@ -18,11 +19,11 @@ class TestAllocateSizes:
 
     def test_balanced_low_cv(self):
         g = np.random.default_rng(0)
-        assert _cv(_allocate_sizes(9, 3, "balanced", g)) < 0.3
+        assert set_variation(_allocate_sizes(9, 3, "balanced", g)) < 0.3
 
     def test_unbalanced_high_cv(self):
         g = np.random.default_rng(0)
-        assert _cv(_allocate_sizes(9, 3, "unbalanced", g)) > 0.7
+        assert set_variation(_allocate_sizes(9, 3, "unbalanced", g)) > 0.7
 
     def test_diversity_exceeding_size_rejected(self):
         g = np.random.default_rng(0)
