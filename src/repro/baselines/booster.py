@@ -19,7 +19,10 @@ from ..core.unionfind import UnionFind
 from ..embed.similarity import cosine_matrix
 from ..llm.simulated import SimulatedLLM
 
+#: similarity thresholds of the candidate partitionings
 _THRESHOLDS = (0.2, 0.3, 0.4, 0.5, 0.6)
+#: LLM questions per block record (at least 3 per block)
+_BUDGET_PER_RECORD = 0.6
 
 #: Booster's candidate partitionings come from *existing ER tools*
 #: [43], which are imperfect; we model that by perturbing the
@@ -45,8 +48,6 @@ def booster_er_block(
     block: list[Record],
     llm: SimulatedLLM,
     *,
-    thresholds: tuple[float, ...] = _THRESHOLDS,
-    budget_per_record: float = 0.6,
     seed: int = 0,
 ) -> dict[int, int]:
     """Pick the best candidate partition via discriminative pairs."""
@@ -56,7 +57,7 @@ def booster_er_block(
     sims = cosine_matrix(np.stack([r.vec for r in block]))
     g_tool = np.random.default_rng(seed * 13 + 5)
     parts = []
-    for t in thresholds:
+    for t in _THRESHOLDS:
         noisy = sims + g_tool.normal(0, _TOOL_NOISE, sims.shape)
         noisy = (noisy + noisy.T) / 2
         parts.append(_threshold_partition(noisy, t))
@@ -67,7 +68,7 @@ def booster_er_block(
             uniq.append(p)
     parts = uniq
     scores = np.zeros(len(parts))
-    budget = max(3, int(np.ceil(budget_per_record * n)))
+    budget = max(3, int(np.ceil(_BUDGET_PER_RECORD * n)))
     g = np.random.default_rng(seed)
     asked: set[tuple[int, int]] = set()
     for _ in range(budget):

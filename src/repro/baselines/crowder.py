@@ -21,9 +21,12 @@ from ..embed.similarity import cosine_matrix
 from ..llm.simulated import SimulatedLLM
 from .pairwise import TransitiveState
 
+#: cosine similarity above which a pair is uncertain and must be covered
+UNCERTAIN_THRESHOLD = 0.25
+
 
 def uncertain_pairs(
-    block: list[Record], threshold: float = 0.25
+    block: list[Record], threshold: float = UNCERTAIN_THRESHOLD
 ) -> list[tuple[int, int]]:
     """Pairs a cheap similarity cannot rule out (must be covered)."""
     n = len(block)
@@ -92,13 +95,12 @@ def crowder_er_block(
     llm: SimulatedLLM,
     *,
     s_s: int = 9,
-    threshold: float = 0.25,
 ) -> dict[int, int]:
     """CrowdER-style ER of one block with LLM clustering; rid → label."""
     n = len(block)
     if n <= 1:
         return {r.rid: i for i, r in enumerate(block)}
-    pairs = uncertain_pairs(block, threshold)
+    pairs = uncertain_pairs(block)
     state = TransitiveState(n)
     if pairs:
         pos = {r.rid: i for i, r in enumerate(block)}

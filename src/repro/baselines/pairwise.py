@@ -9,8 +9,8 @@ only sent to the LLM when neither rule decides it.
 
 For the fair Table 2 comparison the paper applies a guardrail to
 pairwise matching too: an answer contradicting strong similarity
-evidence (declared same though the pair looks nothing alike, or
-declared different though nearly identical) is re-asked once.
+evidence (declared same at a cosine below ``GUARD_LOW``, or declared
+different above ``GUARD_HIGH``) is re-asked once.
 """
 from __future__ import annotations
 
@@ -20,6 +20,9 @@ from ..core.records import Record
 from ..core.unionfind import UnionFind
 from ..embed.similarity import cosine_matrix
 from ..llm.simulated import SimulatedLLM
+
+GUARD_LOW = 0.35
+GUARD_HIGH = 0.55
 
 
 class TransitiveState(UnionFind):
@@ -73,8 +76,6 @@ def pairwise_er_block(
     llm: SimulatedLLM,
     *,
     use_guardrail: bool = True,
-    guard_low: float = 0.35,
-    guard_high: float = 0.55,
 ) -> dict[int, int]:
     """Resolve one block by pairwise questioning; returns rid → label."""
     n = len(block)
@@ -96,7 +97,7 @@ def pairwise_er_block(
         ans = llm.match_pair(block[i], block[k])
         if use_guardrail:
             s = sims[i, k]
-            if (ans and s < guard_low) or (not ans and s > guard_high):
+            if (ans and s < GUARD_LOW) or (not ans and s > GUARD_HIGH):
                 ans = llm.match_pair(block[i], block[k], salt=1)
         if ans:
             state.record_same(i, k)

@@ -1,6 +1,6 @@
 """Blocking / filtering substrates (§5.1)."""
 from .canopy import canopy_blocks
-from .filtering import filtering_blocks, tune_threshold
+from .filtering import filtering_blocks
 from .lsh import lsh_blocks, purify_block, single_block
 
 BLOCKERS = {
@@ -12,5 +12,5 @@ BLOCKERS = {
 
 __all__ = [
     "BLOCKERS", "canopy_blocks", "filtering_blocks", "lsh_blocks",
-    "purify_block", "single_block", "tune_threshold",
+    "purify_block", "single_block",
 ]

@@ -1,10 +1,11 @@
 """Canopy blocking [50] (§5.1).
 
-Two thresholds ``b_s ≥ m_s`` over a *cheap* similarity (token Jaccard
-restricted to each record's first few tokens — the single-attribute
-inverted-index spirit of the paper) build overlapping canopies; inside
-each canopy a *refined* metric (full token Jaccard) links pairs, and
-matching pairs merge blocks transitively until convergence.
+Two thresholds ``B_S ≥ M_S`` over a *cheap* similarity (token Jaccard
+over each record's ``CHEAP_TOKENS`` alphabetically smallest tokens — a
+cheap stand-in for the paper's single-attribute inverted index) build
+overlapping canopies; inside each canopy a *refined* metric (full
+token Jaccard ≥ ``REFINE_THRESHOLD``) links pairs, and matching pairs
+merge blocks transitively until convergence.
 
 The cheap metric looks at less evidence than LSH's embeddings, which
 is why canopy lands between "no blocking" and LSH in Appendix A.3's
@@ -14,26 +15,24 @@ from __future__ import annotations
 
 from ..core.records import Record
 from ..embed.similarity import jaccard
-from .lsh import blocks_from_edges, split_oversized
+from .lsh import MAX_BLOCK_SIZE, blocks_from_edges, split_oversized
+
+#: tight threshold: same block, removed from the canopy pool
+B_S = 0.5
+#: loose threshold: joins the canopy (B_S >= M_S)
+M_S = 0.3
+REFINE_THRESHOLD = 0.4
+CHEAP_TOKENS = 4
 
 
-def cheap_tokens(r: Record, k: int = 4) -> frozenset[str]:
-    """First-attribute-ish token subset for the inexpensive metric."""
-    return frozenset(sorted(r.tokens)[:k])
+def cheap_tokens(r: Record) -> frozenset[str]:
+    """The record's ``CHEAP_TOKENS`` alphabetically smallest tokens, the
+    token subset the inexpensive metric compares."""
+    return frozenset(sorted(r.tokens)[:CHEAP_TOKENS])
 
 
-def canopy_blocks(
-    records: list[Record],
-    *,
-    b_s: float = 0.5,
-    m_s: float = 0.3,
-    refine_threshold: float = 0.4,
-    max_block_size: int = 200,
-    seed: int = 0,
-) -> list[list[Record]]:
+def canopy_blocks(records: list[Record]) -> list[list[Record]]:
     """McCallum-style canopies + refined transitive merging."""
-    if b_s < m_s:
-        raise ValueError("need b_s >= m_s")
     if not records:
         return []
     cheap = {r.rid: cheap_tokens(r) for r in records}
@@ -46,9 +45,9 @@ def canopy_blocks(
         removed = {center}
         for i in unassigned[1:]:
             s = jaccard(cheap[records[center].rid], cheap[records[i].rid])
-            if s > m_s:
+            if s > M_S:
                 canopy.append(i)
-            if s > b_s:  # tight threshold: same block, removed from pool
+            if s > B_S:
                 removed.add(i)
                 edges.append((center, i))
         canopies.append(canopy)
@@ -58,9 +57,9 @@ def canopy_blocks(
         for a in range(len(canopy)):
             for b in range(a + 1, len(canopy)):
                 i, k = canopy[a], canopy[b]
-                if jaccard(records[i].tokens, records[k].tokens) >= refine_threshold:
+                if jaccard(records[i].tokens, records[k].tokens) >= REFINE_THRESHOLD:
                     edges.append((i, k))
     blocks: list[list[Record]] = []
     for blk in blocks_from_edges(records, edges):
-        blocks.extend(split_oversized(blk, max_block_size, seed))
+        blocks.extend(split_oversized(blk, MAX_BLOCK_SIZE))
     return blocks

@@ -7,19 +7,19 @@ record's prefix — two records can only reach the threshold if they
 share a prefix token. Verified matching pairs become edges; connected
 components become blocks.
 
-``tune_threshold`` reproduces the paper's threshold selection: sweep
-b_t over 0.05..0.95 in 0.05 steps and keep the value maximising pair
-F1 on a labelled validation sample.
+The paper tunes ``b_t`` per dataset on a labelled validation sample;
+here it is the fixed constant ``B_T``.
 """
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..core.records import Record
 from ..embed.similarity import jaccard
-from .lsh import blocks_from_edges, split_oversized
+from .lsh import MAX_BLOCK_SIZE, blocks_from_edges, split_oversized
+
+#: b_t: token-Jaccard a pair needs to be joined
+B_T = 0.3
 
 
 def prefix_length(n_tokens: int, threshold: float) -> int:
@@ -56,76 +56,16 @@ def candidate_pairs(
     return cands
 
 
-def filtering_blocks(
-    records: list[Record],
-    *,
-    threshold: float = 0.3,
-    max_block_size: int = 200,
-    seed: int = 0,
-) -> list[list[Record]]:
+def filtering_blocks(records: list[Record]) -> list[list[Record]]:
     """Similarity-join blocking: verified Jaccard edges → components."""
     if not records:
         return []
     edges = [
         (i, j)
-        for i, j in candidate_pairs(records, threshold)
-        if jaccard(records[i].tokens, records[j].tokens) >= threshold
+        for i, j in candidate_pairs(records, B_T)
+        if jaccard(records[i].tokens, records[j].tokens) >= B_T
     ]
     blocks: list[list[Record]] = []
     for blk in blocks_from_edges(records, edges):
-        blocks.extend(split_oversized(blk, max_block_size, seed))
+        blocks.extend(split_oversized(blk, MAX_BLOCK_SIZE))
     return blocks
-
-
-def tune_threshold(
-    records: list[Record],
-    labels: dict[int, int],
-    *,
-    sample_pairs: int = 4000,
-    seed: int = 0,
-) -> float:
-    """Sweep b_t ∈ {0.05..0.95} maximising pair-F1 on a validation sample.
-
-    ``labels`` plays the role of the paper's validation ground truth
-    (or LLM-derived pseudo-labels when none exists).
-    """
-    g = np.random.default_rng(seed)
-    n = len(records)
-    if n < 2:
-        return 0.4
-    idx_pairs: set[tuple[int, int]] = set()
-    # balance: sample positives explicitly, negatives at random
-    by_ent: dict[int, list[int]] = {}
-    for i, r in enumerate(records):
-        by_ent.setdefault(labels[r.rid], []).append(i)
-    pos = [
-        (c[i], c[k])
-        for c in by_ent.values()
-        for i in range(len(c))
-        for k in range(i + 1, len(c))
-    ]
-    if pos:
-        take = min(len(pos), sample_pairs // 2)
-        sel = g.choice(len(pos), size=take, replace=False)
-        idx_pairs.update(pos[int(s)] for s in sel)
-    while len(idx_pairs) < min(sample_pairs, n * (n - 1) // 2):
-        i, k = int(g.integers(0, n)), int(g.integers(0, n))
-        if i != k:
-            idx_pairs.add((min(i, k), max(i, k)))
-    sims = [
-        (
-            jaccard(records[i].tokens, records[k].tokens),
-            labels[records[i].rid] == labels[records[k].rid],
-        )
-        for i, k in idx_pairs
-    ]
-    best_t, best_f1 = 0.4, -1.0
-    for step in range(1, 20):
-        t = step * 0.05
-        tp = sum(1 for s, y in sims if s >= t and y)
-        fp = sum(1 for s, y in sims if s >= t and not y)
-        fn = sum(1 for s, y in sims if s < t and y)
-        f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
-        if f1 > best_f1:
-            best_f1, best_t = f1, t
-    return round(best_t, 2)

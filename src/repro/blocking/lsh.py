@@ -1,17 +1,17 @@
 """Locality-Sensitive-Hashing blocking (§5.1, the paper's default).
 
 Random-hyperplane LSH over the hashing embeddings: each record gets
-``n_bands`` signatures of ``band_bits`` sign bits; records sharing any
+``N_BANDS`` signatures of ``BAND_BITS`` sign bits; records sharing any
 band bucket are linked, and connected components become blocks (the
 OR-over-bands construction gives high recall for similar pairs). The
 stochastic hash can co-locate dissimilar records, so blocks are
 *purified*: a member whose best cosine similarity to the rest of its
-block is below ``threshold`` is evicted to a singleton block —
-mirroring the paper's "retain only pairs with similarity exceeding a
-threshold b_t".
+block is below ``B_T`` is evicted to a singleton block — mirroring the
+paper's "retain only pairs with similarity exceeding a threshold b_t".
 
-Oversized blocks (pathological near-duplicate vocabularies) are split
-by k-means so downstream per-block work stays bounded.
+Blocks larger than ``MAX_BLOCK_SIZE`` (pathological near-duplicate
+vocabularies) are split by k-means so downstream per-block work stays
+bounded; every blocker shares that cap.
 """
 from __future__ import annotations
 
@@ -22,9 +22,21 @@ from ..core.records import Record
 from ..core.unionfind import UnionFind
 from ..embed.similarity import cosine_matrix
 
+N_BANDS = 6
+BAND_BITS = 5
+#: b_t: cosine similarity a candidate pair needs to be linked, and a
+#: block member needs to some peer to stay in its block
+B_T = 0.35
+MAX_BLOCK_SIZE = 200
+#: records per unit of the "w/o blocking" baseline
+CHUNK = 250
+
 
 def band_signatures(
-    vecs: np.ndarray, n_bands: int = 6, band_bits: int = 5, seed: int = 0
+    vecs: np.ndarray,
+    n_bands: int = N_BANDS,
+    band_bits: int = BAND_BITS,
+    seed: int = 0,
 ) -> np.ndarray:
     """(n, n_bands) integer band signatures from sign-of-projection bits."""
     g = np.random.default_rng(seed)
@@ -84,22 +96,14 @@ def split_oversized(
     return out
 
 
-def lsh_blocks(
-    records: list[Record],
-    *,
-    n_bands: int = 6,
-    band_bits: int = 5,
-    threshold: float = 0.35,
-    max_block_size: int = 200,
-    seed: int = 0,
-) -> list[list[Record]]:
+def lsh_blocks(records: list[Record], *, seed: int = 0) -> list[list[Record]]:
     """Full LSH blocking: band buckets → components → purify → split."""
     if not records:
         return []
     vecs = np.stack([r.vec for r in records])
-    sigs = band_signatures(vecs, n_bands, band_bits, seed)
+    sigs = band_signatures(vecs, seed=seed)
     edges: list[tuple[int, int]] = []
-    for b in range(n_bands):
+    for b in range(N_BANDS):
         buckets: dict[int, list[int]] = {}
         for i in range(len(records)):
             buckets.setdefault(int(sigs[i, b]), []).append(i)
@@ -110,29 +114,27 @@ def lsh_blocks(
             # stochastic hash co-locates dissimilar records, and
             # unverified links percolate buckets into giant components
             sub = cosine_matrix(vecs[members])
-            ii, kk = np.where(np.triu(sub, 1) >= threshold)
+            ii, kk = np.where(np.triu(sub, 1) >= B_T)
             edges.extend(
                 (members[int(a)], members[int(c)]) for a, c in zip(ii, kk)
             )
     blocks: list[list[Record]] = []
     for blk in blocks_from_edges(records, edges):
-        for part in split_oversized(blk, max_block_size, seed):
-            blocks.extend(purify_block(part, threshold))
+        for part in split_oversized(blk, MAX_BLOCK_SIZE, seed):
+            blocks.extend(purify_block(part, B_T))
     return blocks
 
 
-def single_block(
-    records: list[Record], chunk: int = 250
-) -> list[list[Record]]:
+def single_block(records: list[Record]) -> list[list[Record]]:
     """The "w/o blocking" baseline of Appendix A.3.
 
     No similarity information is used: records are processed in their
-    arbitrary input order. Chunks of ``chunk`` records bound the
+    arbitrary input order. Chunks of ``CHUNK`` records bound the
     per-unit work (NRS's k-means over tens of thousands of records at
     once would be intractable); because the chunking is
     similarity-blind, duplicates scatter across chunks — exactly the
     quality/cost penalty Table 14 attributes to skipping blocking.
     """
     return [
-        records[i : i + chunk] for i in range(0, len(records), chunk)
+        records[i : i + CHUNK] for i in range(0, len(records), CHUNK)
     ]

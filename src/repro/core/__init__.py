@@ -1,13 +1,9 @@
 """The paper's core contribution: NRS, MDG, CMR, the end-to-end
 pipeline (Algorithm 4), metrics, and the distributed Spark variant."""
 from .cmr import Item, apply_merge_result, build_round_sets, representative
-from .factors import (
-    diversity_of_labels, order_sequentially, sequentiality, set_variation,
-    variation_of_labels,
-)
+from .factors import order_sequentially, sequentiality, set_variation
 from .mdg import (
-    cluster_with_guardrail, mdg_accepts, misclustered, regenerate_order,
-    structurally_valid,
+    cluster_with_guardrail, misclustered, regenerate_order, structurally_valid,
 )
 from .metrics import (
     acc, all_metrics, ari, clusters_to_assignment, fp_measure,
@@ -20,11 +16,10 @@ from .records import Record, build_records, strip_attr_labels
 __all__ = [
     "BlockResult", "Item", "Record", "acc", "all_metrics",
     "apply_merge_result", "ari", "build_records", "build_round_sets",
-    "cluster_with_guardrail", "clusters_to_assignment",
-    "diversity_of_labels", "elbow_k", "fp_measure", "inverse_purity",
-    "kmeans", "mdg_accepts", "misclustered", "next_record_set", "nmi",
-    "order_sequentially", "pair_confusion", "purity",
-    "record_sets_for_block", "regenerate_order", "representative",
+    "cluster_with_guardrail", "clusters_to_assignment", "elbow_k",
+    "fp_measure", "inverse_purity", "kmeans", "misclustered",
+    "next_record_set", "nmi", "order_sequentially", "pair_confusion",
+    "purity", "record_sets_for_block", "regenerate_order", "representative",
     "resolve_block", "sequentiality", "set_variation", "strip_attr_labels",
-    "structurally_valid", "variation_of_labels",
+    "structurally_valid",
 ]

@@ -67,7 +67,6 @@ def build_round_sets(
     s_s: int = 9,
     *,
     strategy: str = "similarity",
-    merge_floor: float | None = None,
     seed: int = 0,
 ) -> list[list[Item]]:
     """Pack items into the next round's record sets (Alg. 3 heuristic).
@@ -82,8 +81,6 @@ def build_round_sets(
     """
     if strategy not in ("similarity", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if merge_floor is None:
-        merge_floor = MERGE_FLOOR  # late-bound so tests can tune it
     g = np.random.default_rng(seed)
     unassigned = sorted(items, key=lambda it: it.iid)
     if strategy == "random":
@@ -98,7 +95,7 @@ def build_round_sets(
         return any(
             o.iid != it.iid
             and o.iid not in it.anti
-            and (strategy == "random" or _sim(it, o) >= merge_floor)
+            and (strategy == "random" or _sim(it, o) >= MERGE_FLOOR)
             for o in pool
         )
 
@@ -122,7 +119,7 @@ def build_round_sets(
                 if compatible(it, cur_set)
                 and (
                     strategy == "random"
-                    or max(_sim(it, m) for m in cur_set) >= merge_floor
+                    or max(_sim(it, m) for m in cur_set) >= MERGE_FLOOR
                 )
             ]
             if not cands:

@@ -24,19 +24,6 @@ def set_variation(cluster_sizes: Sequence[int]) -> float:
     return float(sizes.std() / sizes.mean())
 
 
-def variation_of_labels(labels: Sequence[int]) -> float:
-    """Eq. 1 computed from per-record labels."""
-    if not labels:
-        return 0.0
-    _, counts = np.unique(np.asarray(list(labels)), return_counts=True)
-    return set_variation(counts)
-
-
-def diversity_of_labels(labels: Sequence[int]) -> int:
-    """Number of distinct clusters in the set."""
-    return len(set(labels))
-
-
 def sequentiality(labels: Sequence[int]) -> float:
     """How sequentially same-cluster records are ordered, in [0, 1].
 

@@ -53,14 +53,10 @@ DEFAULT_MARGIN = 0.05
 INTRA_FLOOR = 0.18
 
 
-def misclustered(
-    clusters: list[list[Record]], margin: float | None = None
-) -> list[Record]:
+def misclustered(clusters: list[list[Record]]) -> list[Record]:
     """Alg. 2: records whose intra-cluster sim < inter-cluster sim
-    (by more than ``margin``), plus records whose intra-cluster sim
-    falls below the absolute grounding floor."""
-    if margin is None:
-        margin = DEFAULT_MARGIN  # late-bound so tests can tune it
+    (by more than ``DEFAULT_MARGIN``), plus records whose intra-cluster
+    sim falls below the absolute grounding floor."""
     flat = [r for c in clusters for r in c]
     if len(flat) < 2:
         return []
@@ -80,18 +76,9 @@ def misclustered(
                 continue
             if others:
                 inter = max(sims[i, pos[o.rid]] for o in others)
-                if intra < inter - margin:
+                if intra < inter - DEFAULT_MARGIN:
                     bad.append(r)
     return bad
-
-
-def mdg_accepts(
-    input_records: list[Record], clusters: list[list[Record]]
-) -> bool:
-    """Full guardrail verdict: structurally valid and no misclustering."""
-    return structurally_valid(input_records, clusters) and not misclustered(
-        clusters
-    )
 
 
 def regenerate_order(

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..embed.similarity import cosine_matrix
 from .factors import order_sequentially, set_variation
 from .records import Record
 
+#: Lloyd iterations per k-means run (fewer if the labels settle)
+KMEANS_ITERS = 20
+
 
 def kmeans(
-    vecs: np.ndarray, k: int, seed: int = 0, iters: int = 20
+    vecs: np.ndarray, k: int, seed: int = 0
 ) -> tuple[np.ndarray, float]:
     """Lloyd's algorithm with k-means++-style init → (labels, inertia)."""
     n = vecs.shape[0]
@@ -37,7 +39,7 @@ def kmeans(
         centers.append(vecs[int(g.choice(n, p=probs))])
     c = np.stack(centers)
     labels = np.zeros(n, dtype=int)
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         d = ((vecs[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
         new_labels = d.argmin(axis=1)
         if np.array_equal(new_labels, labels) and _ > 0:

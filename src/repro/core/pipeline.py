@@ -39,10 +39,6 @@ class BlockResult:
     assignment: dict[int, int]  # record_id -> local cluster label
     level_set_counts: list[int] = field(default_factory=list)
 
-    @property
-    def n_clusters(self) -> int:
-        return len(set(self.assignment.values()))
-
 
 def resolve_block(
     block: list[Record],

@@ -89,7 +89,6 @@ _RESULT_SCHEMA = StructType(
         StructField("in_tokens", LongType()),
         StructField("out_tokens", LongType()),
         StructField("sim_time_s", DoubleType()),
-        StructField("level_counts", StringType()),
     ]
 )
 
@@ -108,9 +107,8 @@ def resolve_blocks_distributed(
     Block ``b`` is resolved over its records in ``record_id`` order
     with ``seed + b``, as the driver path resolves its ``b``-th block.
     Output columns: record_id, block_id, ``label`` (globally unique
-    string ``block/local``), per-block ledger totals (repeated on each
-    of the block's rows — aggregate with ``ledger_totals``), and the
-    block's per-level record-set counts as a CSV string.
+    string ``block/local``) and per-block ledger totals (repeated on
+    each of the block's rows — aggregate with ``ledger_totals``).
     """
     profile_name = profile.name
 
@@ -139,8 +137,6 @@ def resolve_blocks_distributed(
                 "in_tokens": led.in_tokens,
                 "out_tokens": led.out_tokens,
                 "sim_time_s": led.sim_time_s,
-                "level_counts": ",".join(map(str, res.level_set_counts))
-                or "0",
             }
         )
 

@@ -1,9 +1,9 @@
 """Synthetic dirty-ER benchmark datasets (paper Table 1 equivalents)."""
 from .generator import generate, serialize_row
-from .registry import DISPLAY, SPECS, load, spec
+from .registry import DISPLAY, SPECS, spec
 from .schema import AttrSpec, DatasetSpec, mixed, textual
 
 __all__ = [
     "AttrSpec", "DatasetSpec", "DISPLAY", "SPECS",
-    "generate", "load", "mixed", "serialize_row", "spec", "textual",
+    "generate", "mixed", "serialize_row", "spec", "textual",
 ]

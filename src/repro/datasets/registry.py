@@ -9,9 +9,6 @@ harder, and Walmart-Amazon is the hardest (ACC ~0.6, extraction noise).
 """
 from __future__ import annotations
 
-import pandas as pd
-
-from .generator import generate
 from .schema import DatasetSpec, mixed, textual
 
 SPECS: dict[str, DatasetSpec] = {
@@ -66,11 +63,7 @@ DISPLAY = {
 
 
 def spec(name: str, scale: float = 1.0) -> DatasetSpec:
-    """Look up a spec by name, optionally scaled down (tests)."""
+    """Look up a spec by name, optionally scaled down: the one way to
+    scale a dataset."""
     s = SPECS[name]
     return s if scale == 1.0 else s.scaled(scale)
-
-
-def load(name: str, scale: float = 1.0) -> pd.DataFrame:
-    """Generate the named dataset as a pandas DataFrame."""
-    return generate(spec(name, scale))

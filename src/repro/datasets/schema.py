@@ -21,7 +21,7 @@ generator knobs that control how *hard* the dataset is:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,6 @@ class DatasetSpec:
         n_ent = max(2, int(round(self.n_entities * scale)))
         n_rec = max(n_ent, int(round(self.n_records * scale)))
         return replace(self, n_entities=n_ent, n_records=n_rec)
-
-    def with_attrs(self, attrs: tuple[AttrSpec, ...]) -> "DatasetSpec":
-        """Copy with a different attribute schema (Table 5–7 ablations)."""
-        return replace(self, attrs=attrs)
 
     def drop_kind(self, kind: str) -> "DatasetSpec":
         """Copy without any attribute of ``kind`` (Table 7 "w/o X").

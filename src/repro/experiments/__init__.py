@@ -1,8 +1,8 @@
 """Experiment harness, key-factor sweeps, and per-table builders."""
 from .harness import METHODS, RunResult, prepare, run_er
-from .sweeps import factor_sweep, optimal_factors, sweep_config
+from .sweeps import optimal_factors, sweep_config
 
 __all__ = [
-    "METHODS", "RunResult", "factor_sweep", "optimal_factors", "prepare",
-    "run_er", "sweep_config",
+    "METHODS", "RunResult", "optimal_factors", "prepare", "run_er",
+    "sweep_config",
 ]

@@ -21,7 +21,7 @@ from ..baselines.crowder import crowder_er_block
 from ..baselines.pairwise import pairwise_er_block
 from ..baselines.plm import DEEPMATCHER, DITTO, plm_cost_usd, plm_er_block
 from ..blocking import BLOCKERS
-from ..core.metrics import all_metrics, pair_confusion
+from ..core.metrics import all_metrics
 from ..core.pipeline import resolve_block
 from ..core.records import Record, build_records
 from ..datasets.generator import generate
@@ -53,16 +53,12 @@ class RunResult:
     assignment: dict[int, int] = field(default_factory=dict, repr=False)
     truth: dict[int, int] = field(default_factory=dict, repr=False)
 
-    def pair_confusion(self) -> dict[str, int]:
-        return pair_confusion(self.assignment, self.truth)
-
 
 def prepare(
-    spec: DatasetSpec, scale: float = 1.0
+    spec: DatasetSpec,
 ) -> tuple[pd.DataFrame, list[Record], dict[int, int]]:
-    """Generate the dataset (optionally scaled) and build records."""
-    if scale != 1.0:
-        spec = spec.scaled(scale)
+    """Generate the dataset and build records (scale it with
+    ``registry.spec(name, scale)``)."""
     pdf = generate(spec)
     recs, truth = build_records(pdf, spec)
     return pdf, recs, truth
@@ -72,7 +68,6 @@ def run_er(
     spec: DatasetSpec | str,
     method: str = "llm_cer",
     *,
-    scale: float = 1.0,
     profile: LLMProfile = GPT_4O_MINI,
     blocking: str = "lsh",
     s_s: int = 9,
@@ -96,7 +91,7 @@ def run_er(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; one of {METHODS}")
     if prepared is None:
-        _, recs, truth = prepare(spec, scale)
+        _, recs, truth = prepare(spec)
     else:
         recs, truth = prepared
 

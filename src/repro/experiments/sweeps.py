@@ -1,7 +1,8 @@
-"""Key-factor sweep machinery (§4.2, Figures 4–5, Tables 5 & 9).
+"""Key-factor sweep machinery (§4.2, Tables 5 & 9).
 
 Controlled record sets are sampled from a dataset at fixed set size,
-diversity, variation band and ordering, clustered *raw* by the LLM
+diversity, variation band and ordering (``sweep_config`` uses
+``SV_LEVEL`` and ``ORDERING``), clustered *raw* by the LLM
 (no guardrail — §4.2 measures the model itself), and scored per set
 against the restricted ground truth. ``optimal_factors`` then picks
 the configuration the paper's procedure would: the largest set size
@@ -13,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-import pandas as pd
 
 from ..core.factors import set_variation
 from ..core.mdg import structurally_valid
@@ -23,6 +23,9 @@ from ..llm.profiles import LLMProfile
 from ..llm.simulated import SimulatedLLM
 
 SV_LEVELS = ("balanced", "relative", "unbalanced")
+#: the variation band and record order every sweep configuration uses
+SV_LEVEL = "balanced"
+ORDERING = "sequential"
 
 
 def _allocate_sizes(
@@ -113,8 +116,6 @@ def sweep_config(
     *,
     s_s: int,
     s_d: int,
-    sv_level: str = "balanced",
-    ordering: str = "sequential",
     n_questions: int = 200,
     seed: int = 0,
 ) -> dict[str, float]:
@@ -125,7 +126,7 @@ def sweep_config(
     accs, fps = [], []
     misses = 0
     for q in range(n_questions):
-        rset = controlled_record_set(by_ent, s_s, s_d, sv_level, ordering, rng)
+        rset = controlled_record_set(by_ent, s_s, s_d, SV_LEVEL, ORDERING, rng)
         if rset is None:
             misses += 1
             if misses > 20:
@@ -149,37 +150,6 @@ def sweep_config(
         "fp": float(np.mean(fps)),
         "n": len(accs),
     }
-
-
-def factor_sweep(
-    records: list[Record],
-    truth: dict[int, int],
-    profile: LLMProfile,
-    *,
-    s_s_grid: Sequence[int] = (4, 6, 8, 9, 10, 12),
-    s_d_grid: Sequence[int] = (2, 3, 4, 5),
-    sv_levels: Sequence[str] = SV_LEVELS,
-    orderings: Sequence[str] = ("sequential", "random"),
-    n_questions: int = 100,
-    seed: int = 0,
-) -> pd.DataFrame:
-    """Full grid sweep → long DataFrame (the Figure 4/5 data)."""
-    rows = []
-    for s_s in s_s_grid:
-        for s_d in s_d_grid:
-            if s_d > s_s:
-                continue
-            for sv in sv_levels:
-                for o in orderings:
-                    m = sweep_config(
-                        records, truth, profile,
-                        s_s=s_s, s_d=s_d, sv_level=sv, ordering=o,
-                        n_questions=n_questions, seed=seed,
-                    )
-                    rows.append(
-                        {"s_s": s_s, "s_d": s_d, "sv": sv, "ordering": o, **m}
-                    )
-    return pd.DataFrame(rows)
 
 
 def optimal_factors(

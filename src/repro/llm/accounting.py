@@ -8,7 +8,7 @@ functions of the calls the pipeline actually makes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .profiles import LLMProfile
 
@@ -47,13 +47,6 @@ class Ledger:
             self.in_tokens * p.input_price_per_m
             + self.out_tokens * p.output_price_per_m
         ) / 1e6
-
-    def merge(self, other: "Ledger") -> None:
-        """Fold another ledger (e.g. from another block) into this one."""
-        self.n_calls += other.n_calls
-        self.in_tokens += other.in_tokens
-        self.out_tokens += other.out_tokens
-        self.sim_time_s += other.sim_time_s
 
     def snapshot(self) -> dict[str, float]:
         return {

@@ -29,9 +29,9 @@ How a clustering call works
    partition) — mimicking the paper's §1 challenge (2).
 
 All randomness is seeded from the call's record-id *sequence* (plus a
-salt), so at temperature 0 identical prompts give identical answers
-(the stability property of Appendix A.6) while re-ordered or
-regenerated prompts are fresh draws.
+salt): the model runs at temperature 0, so identical prompts give
+identical answers (the stability property of Appendix A.6) while
+re-ordered or regenerated prompts are fresh draws.
 """
 from __future__ import annotations
 
@@ -72,19 +72,16 @@ class SimulatedLLM:
         truth: dict[int, int],
         profile: LLMProfile = GPT_4O_MINI,
         *,
-        temperature: float = 0.0,
         seed: int = 0,
         few_shot: int = 0,
         few_shot_hard: bool = False,
     ):
         self.truth = truth
         self.profile = profile
-        self.temperature = temperature
         self.seed = seed
         self.few_shot = few_shot
         self.few_shot_hard = few_shot_hard
         self.ledger = Ledger(profile)
-        self._nonce = 0
 
     # ------------------------------------------------------------------ util
 
@@ -92,12 +89,10 @@ class SimulatedLLM:
         return self.truth[a.rid] == self.truth[b.rid]
 
     def _rng(self, ids: Sequence[int], salt: int) -> np.random.Generator:
-        nonce = 0
-        if self.temperature > 0:
-            self._nonce += 1
-            nonce = self._nonce
+        # the trailing 0 is part of every seed: dropping it would change
+        # every draw
         return np.random.default_rng(
-            _stable_seed(self.profile.name, self.seed, tuple(ids), salt, nonce)
+            _stable_seed(self.profile.name, self.seed, tuple(ids), salt, 0)
         )
 
     def _few_shot_factor(self) -> float:
@@ -151,7 +146,6 @@ class SimulatedLLM:
             + p.variation_penalty * set_variation(sizes)
             + p.diversity_penalty * abs(len(sizes) - p.diversity_opt)
             + p.ordering_penalty * (1.0 - sequentiality(ent))
-            + self.temperature * 0.15
         )
         return float(pen)
 
@@ -253,8 +247,8 @@ class SimulatedLLM:
             if dup not in out[dst_i]:
                 out[dst_i].append(dup)
             return out
-        # garbled partition: the model collapses the set into one or
-        # two ungrounded groups — maximal wrong-merge damage, which then
+        # garbled partition: the model collapses the set into one
+        # ungrounded group — maximal wrong-merge damage, which then
         # cascades through hierarchical merging if left uncaught
         k = 1
         assign = rng.integers(0, k, len(flat))
@@ -325,7 +319,7 @@ class SimulatedLLM:
             8,
         )
         rng = self._rng([a.rid, b.rid], salt)
-        err = self._pair_error(a, b, self.temperature * 0.01)
+        err = self._pair_error(a, b, 0.0)
         ans = self._same(a, b) ^ (rng.random() < err)
         if rng.random() < self.profile.hallucination_rate * 0.1:
             ans = not ans  # single-question prompts rarely hallucinate

@@ -129,7 +129,7 @@ class TestBQ:
         assert llm_bq.ledger.in_tokens > llm_pw.ledger.in_tokens
 
     def test_annotation_cost(self):
-        assert annotation_cost(8) == pytest.approx(0.64)
+        assert annotation_cost() == pytest.approx(0.64)
 
 
 class TestBooster:

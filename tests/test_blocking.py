@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from repro.blocking import (
-    BLOCKERS, canopy_blocks, filtering_blocks, lsh_blocks, single_block,
-    tune_threshold,
+    BLOCKERS, canopy_blocks, filtering_blocks, lsh, lsh_blocks, single_block,
 )
 from repro.blocking.filtering import candidate_pairs, prefix_length
 from repro.blocking.lsh import (
     band_signatures, blocks_from_edges, purify_block, split_oversized,
 )
+from repro.core.records import Record
+from repro.embed.hashing import embed_text, tokens
 
 
 def _pair_recall(blocks, truth):
@@ -41,9 +42,10 @@ class TestLSH:
         _, _, recs, truth = clean_records
         assert _pair_recall(lsh_blocks(recs), truth) > 0.9
 
-    def test_respects_max_block_size(self, cora_small):
+    def test_respects_max_block_size(self, cora_small, monkeypatch):
         _, _, recs, _ = cora_small
-        blocks = lsh_blocks(recs, max_block_size=30)
+        monkeypatch.setattr(lsh, "MAX_BLOCK_SIZE", 30)
+        blocks = lsh_blocks(recs)
         assert max(len(b) for b in blocks) <= 30
 
     def test_empty(self):
@@ -102,6 +104,18 @@ class TestSplitOversized:
             r.rid for r in recs[:50]
         )
 
+    def test_identical_vectors_hard_chopped(self):
+        # k-means cannot separate identical vectors, so the block is
+        # cut into consecutive max_size chunks
+        text = "same listing every time"
+        recs = [
+            Record(rid=i, text=text, vec=embed_text(text), tokens=tokens(text))
+            for i in range(25)
+        ]
+        parts = split_oversized(recs, 10)
+        assert [len(p) for p in parts] == [10, 10, 5]
+        assert [r.rid for p in parts for r in p] == list(range(25))
+
 
 class TestBlocksFromEdges:
     def test_components(self, cora_small):
@@ -119,7 +133,7 @@ class TestFiltering:
 
     def test_recall_on_clean_data(self, clean_records):
         _, _, recs, truth = clean_records
-        assert _pair_recall(filtering_blocks(recs, threshold=0.3), truth) > 0.85
+        assert _pair_recall(filtering_blocks(recs), truth) > 0.85
 
     def test_prefix_length_formula(self):
         # |t| - ceil(b_t * |t|) + 1
@@ -139,21 +153,11 @@ class TestFiltering:
                 if jaccard(sub[i].tokens, sub[k].tokens) >= t:
                     assert (i, k) in cands or (k, i) in cands
 
-    def test_tune_threshold_range(self, clean_records):
-        _, _, recs, truth = clean_records
-        t = tune_threshold(recs, truth, sample_pairs=500, seed=0)
-        assert 0.05 <= t <= 0.95
-
 
 class TestCanopy:
     def test_partition(self, cora_small):
         _, _, recs, _ = cora_small
         assert _is_partition(canopy_blocks(recs), recs)
-
-    def test_threshold_order_enforced(self, cora_small):
-        _, _, recs, _ = cora_small
-        with pytest.raises(ValueError):
-            canopy_blocks(recs, b_s=0.1, m_s=0.5)
 
     def test_empty(self):
         assert canopy_blocks([]) == []

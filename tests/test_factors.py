@@ -2,10 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.factors import (
-    diversity_of_labels, order_sequentially, sequentiality, set_variation,
-    variation_of_labels,
-)
+from repro.core.factors import order_sequentially, sequentiality, set_variation
 from repro.core.records import Record
 from repro.embed.hashing import embed_text, tokens
 
@@ -33,19 +30,6 @@ class TestSetVariation:
         sizes = [4, 2, 2, 1]
         a = np.asarray(sizes, float)
         assert set_variation(sizes) == pytest.approx(a.std() / a.mean())
-
-
-class TestLabelHelpers:
-    def test_variation_of_labels(self):
-        assert variation_of_labels([0, 0, 0, 1, 1, 1]) == 0.0
-        assert variation_of_labels([0, 0, 0, 0, 1]) > 0.5
-
-    def test_variation_empty(self):
-        assert variation_of_labels([]) == 0.0
-
-    def test_diversity(self):
-        assert diversity_of_labels([1, 1, 2, 3]) == 3
-        assert diversity_of_labels([5]) == 1
 
 
 class TestSequentiality:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.datasets.registry import spec
+from repro.core.metrics import pair_confusion
+from repro.datasets.registry import SPECS, spec
 from repro.experiments import harness
 from repro.experiments.harness import METHODS, RunResult, prepare, run_er
 
@@ -41,8 +42,10 @@ class TestRunEr:
         with pytest.raises(ValueError):
             run_er(sp, "nope", prepared=prepared)
 
-    def test_string_dataset_name(self):
-        r = run_er("cora", "llm_cer", scale=0.05, seed=0)
+    def test_string_dataset_name(self, monkeypatch):
+        # a name is looked up in the registry; a small Cora stands in
+        monkeypatch.setitem(harness.SPECS, "cora", spec("cora", 0.05))
+        r = run_er("cora", "llm_cer", seed=0)
         assert r.dataset == "cora"
 
     def test_level_counts_only_for_llm_cer(self, prepared_cora):
@@ -76,14 +79,12 @@ class TestRunEr:
     def test_pair_confusion_totals(self, prepared_cora):
         sp, prepared = prepared_cora
         r = run_er(sp, "llm_cer", seed=0, prepared=prepared)
-        pc = r.pair_confusion()
+        pc = pair_confusion(r.assignment, r.truth)
         n = len(r.truth)
         assert sum(pc.values()) == n * (n - 1) // 2
 
     def test_prepare_scales(self):
-        from repro.datasets.registry import SPECS
-
-        pdf, recs, truth = prepare(SPECS["as"], scale=0.05)
+        pdf, recs, truth = prepare(spec("as", 0.05))
         assert len(recs) == len(pdf)
         assert len(recs) < SPECS["as"].n_records
 

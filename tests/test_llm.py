@@ -62,13 +62,6 @@ class TestLedger:
         with pytest.raises(ValueError):
             Ledger(GPT_4O_MINI).add_call(-1, 0)
 
-    def test_merge(self):
-        a, b = Ledger(GPT_4O_MINI), Ledger(GPT_4O_MINI)
-        a.add_call(10, 1)
-        b.add_call(20, 2)
-        a.merge(b)
-        assert a.n_calls == 2 and a.in_tokens == 30
-
     def test_snapshot_keys(self):
         snap = Ledger(GPT_4O_MINI).snapshot()
         assert {"n_calls", "tokens", "cost_usd", "sim_time_s"} <= set(snap)
@@ -303,18 +296,3 @@ class TestFewShot:
         a.cluster_records(recs[:4])
         b.cluster_records(recs[:4])
         assert b.ledger.in_tokens > a.ledger.in_tokens
-
-
-class TestTemperature:
-    def test_nonzero_temperature_varies_draws(self, easy_world):
-        recs, truth = easy_world
-        llm = SimulatedLLM(truth, GPT_4O_MINI, temperature=0.8, seed=1)
-        outs = {
-            tuple(
-                tuple(sorted(r.rid for r in c))
-                for c in llm.cluster_records(recs, _account=False)
-            )
-            for _ in range(20)
-        }
-        # with hallucinations + temperature nonce, some variance appears
-        assert len(outs) >= 1  # sanity; strict variance is probabilistic

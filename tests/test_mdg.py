@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from repro.core.mdg import (
-    ATTEMPTS, _repair, cluster_batch_with_guardrail, cluster_with_guardrail,
-    mdg_accepts, misclustered, regenerate_order, structurally_valid,
+    ATTEMPTS, DEFAULT_MARGIN, _Guard, _repair, cluster_batch_with_guardrail,
+    cluster_with_guardrail, misclustered, regenerate_order,
+    structurally_valid,
 )
 from repro.core.records import Record
 from repro.embed.hashing import embed_text, tokens
@@ -60,11 +61,23 @@ class TestMisclustered:
         # for the relative rule — the absolute floor must catch it
         assert misclustered([a + b]) != []
 
-    def test_margin_suppresses_ties(self, two_entities):
-        a, b = two_entities
-        # at an enormous margin nothing is ever flagged relatively,
-        # but the absolute floor still fires on garbled merges
-        assert misclustered([a, b], margin=10.0) == []
+    @pytest.mark.parametrize(
+        "gap,flagged",
+        [(DEFAULT_MARGIN / 2, False), (DEFAULT_MARGIN * 2, True)],
+        ids=["within-margin", "beyond-margin"],
+    )
+    def test_margin_tolerance(self, gap, flagged):
+        # r's intra-cluster sim (to its mate m) is 0.6; its inter-cluster
+        # sim (to o, in the other cluster) is 0.6 + gap; m and o lie on
+        # opposite sides of r, so only r can be flagged
+        def at(rid, cos_sim, side):
+            vec = np.array([cos_sim, side * np.sqrt(1 - cos_sim**2)])
+            return Record(rid=rid, text="", vec=vec, tokens=frozenset())
+
+        r, m, o = at(0, 1.0, 1), at(1, 0.6, -1), at(2, 0.6 + gap, 1)
+        assert [x.rid for x in misclustered([[r, m], [o]])] == (
+            [0] if flagged else []
+        )
 
     def test_singletons_skipped(self, two_entities):
         a, b = two_entities
@@ -77,17 +90,26 @@ class TestMisclustered:
 
 
 class TestMdgAccepts:
+    """The guard accepts an answer (asks no more) only if it is a
+    partition of the record set and MDG flags none of its records."""
+
+    @staticmethod
+    def _accepts(records, clusters):
+        guard = _Guard(records, use_mdg=True)
+        guard.offer(clusters)
+        return guard.done
+
     def test_good(self, two_entities):
         a, b = two_entities
-        assert mdg_accepts(a + b, [a, b])
+        assert self._accepts(a + b, [a, b])
 
     def test_structural_reject(self, two_entities):
         a, b = two_entities
-        assert not mdg_accepts(a + b, [a])
+        assert not self._accepts(a + b, [a])
 
     def test_similarity_reject(self, two_entities):
         a, b = two_entities
-        assert not mdg_accepts(a + b, [a[:1] + b[:1], a[1:] + b[1:]])
+        assert not self._accepts(a + b, [a[:1] + b[:1], a[1:] + b[1:]])
 
 
 class TestRegenerateOrder:

@@ -1,6 +1,7 @@
 """Tests for the per-block end-to-end pipeline (Algorithm 4)."""
 import pytest
 
+from repro.core import pipeline
 from repro.core.metrics import all_metrics
 from repro.core.pipeline import resolve_block
 from repro.core.records import Record
@@ -13,24 +14,29 @@ def _rec(rid, text):
     return Record(rid=rid, text=text, vec=embed_text(text), tokens=tokens(text))
 
 
+_STEMS = [
+    "apple orchard cider harvest autumn",
+    "neutron star gravity collapse dense",
+    "database index shard partition query",
+    "violin concerto orchestra strings bow",
+    "glacier moraine ice erosion valley",
+]
+
+
+def _block(sizes):
+    """Entity ``e`` gets ``sizes[e]`` records of its own vocabulary."""
+    recs, truth = [], {}
+    for e, (stem, size) in enumerate(zip(_STEMS, sizes)):
+        for k in range(size):
+            truth[len(recs)] = e
+            recs.append(_rec(len(recs), f"{stem} rec{k}"))
+    return recs, truth
+
+
 @pytest.fixture(scope="module")
 def block():
     """27 records / 5 entities with distinctive vocabularies."""
-    stems = [
-        "apple orchard cider harvest autumn",
-        "neutron star gravity collapse dense",
-        "database index shard partition query",
-        "violin concerto orchestra strings bow",
-        "glacier moraine ice erosion valley",
-    ]
-    recs, truth = [], {}
-    rid = 0
-    for e, stem in enumerate(stems):
-        for k in range(6 if e < 2 else 5):
-            recs.append(_rec(rid, f"{stem} rec{k}"))
-            truth[rid] = e
-            rid += 1
-    return recs, truth
+    return _block([6, 6, 5, 5, 5])
 
 
 class TestResolveBlock:
@@ -116,3 +122,14 @@ class TestResolveBlock:
         llm = SimulatedLLM(truth, GPT_4O_MINI, seed=0)
         res = resolve_block(recs, llm, s_s=6, s_d=3, seed=0)
         assert res.level_set_counts[0] >= -(-len(recs) // 6) - 1
+
+    def test_max_rounds_cap(self, monkeypatch):
+        recs, truth = _block([16] * 5)
+        # unpatched, this block takes two CMR rounds at seed 0
+        llm = SimulatedLLM(truth, GPT_4O_MINI, seed=0)
+        assert len(resolve_block(recs, llm, seed=0).level_set_counts) >= 3
+        monkeypatch.setattr(pipeline, "_MAX_ROUNDS", 1)
+        llm = SimulatedLLM(truth, GPT_4O_MINI, seed=0)
+        res = resolve_block(recs, llm, seed=0)
+        assert sorted(res.assignment) == sorted(truth)
+        assert len(res.level_set_counts) == 1 + pipeline._MAX_ROUNDS

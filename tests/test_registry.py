@@ -1,7 +1,7 @@
 """The nine registry specs must match the paper's Table 1 statistics."""
 import pytest
 
-from repro.datasets.registry import DISPLAY, SPECS, load, spec
+from repro.datasets.registry import DISPLAY, SPECS, spec
 from repro.experiments.paper_numbers import TABLE1
 
 ALL = sorted(SPECS)
@@ -37,10 +37,6 @@ class TestAccessors:
     def test_spec_scale(self):
         s = spec("cora", 0.1)
         assert s.n_entities == round(SPECS["cora"].n_entities * 0.1)
-
-    def test_load_returns_frame(self):
-        pdf = load("as", 0.05)
-        assert {"record_id", "entity_id", "t1"} <= set(pdf.columns)
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):

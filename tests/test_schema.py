@@ -108,7 +108,3 @@ class TestAttrManipulation:
         s = _spec(attrs=mixed(2, 1, 1)).drop_kind("T")
         assert s.attrs[0].kind == "T"
         assert [a.kind for a in s.attrs] == ["T", "N", "C"]
-
-    def test_with_attrs(self):
-        s = _spec().with_attrs(mixed(1, 1, 0))
-        assert len(s.attrs) == 2

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.factors import set_variation
 from repro.experiments.sweeps import (
-    SV_LEVELS, _allocate_sizes, controlled_record_set, factor_sweep,
-    optimal_factors, records_by_entity, sweep_config,
+    SV_LEVELS, _allocate_sizes, controlled_record_set, optimal_factors,
+    records_by_entity, sweep_config,
 )
 from repro.llm.profiles import GPT_4O_MINI
 
@@ -89,18 +89,6 @@ class TestSweepConfig:
             recs, truth, GPT_4O_MINI, s_s=4, s_d=2, n_questions=5, seed=0
         )
         assert m["n"] == 5
-
-
-class TestFactorSweep:
-    def test_grid_shape(self, cora_small):
-        _, _, recs, truth = cora_small
-        df = factor_sweep(
-            recs, truth, GPT_4O_MINI,
-            s_s_grid=(4, 6), s_d_grid=(2, 3), sv_levels=("balanced",),
-            orderings=("sequential",), n_questions=10, seed=0,
-        )
-        assert len(df) == 4
-        assert {"s_s", "s_d", "sv", "ordering", "fp", "acc"} <= set(df.columns)
 
 
 class TestOptimalFactors:
