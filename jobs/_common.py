@@ -1,8 +1,9 @@
 """Shared plumbing for the spark-submit job entrypoints.
 
-Each job builds (or reuses) a local SparkSession, runs one table
-builder from :mod:`repro.experiments.tables`, prints the resulting
-paper-vs-measured frame, and optionally writes it to CSV.
+``make_parser`` gives every job its ``--scale``/``--seed``/``--out``
+options; ``spark_session`` builds the local SparkSession that
+``run_pipeline.py`` runs on; ``emit`` prints the paper-vs-measured
+frame ``run_table.py`` builds and optionally writes it to CSV.
 """
 from __future__ import annotations
 

@@ -10,13 +10,14 @@ DESIGN.md).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 
 from ..datasets.schema import DatasetSpec
-from ..embed.hashing import DEFAULT_DIM, embed_batch
+from ..embed.hashing import embed_batch
 from ..embed.hashing import tokens as _tokens
 
 
@@ -74,8 +75,28 @@ class Record:
         return max(1, len(self.text) // 4)
 
 
+def embed_texts(texts: Sequence[str]) -> np.ndarray:
+    """Serialized texts → (n, dim) embeddings, labels stripped first."""
+    return embed_batch([strip_attr_labels(t) for t in texts])
+
+
+def make_records(
+    rids: Iterable[int], texts: Iterable[str], vecs: Iterable[np.ndarray]
+) -> list[Record]:
+    """Parallel (rid, text, vec) sequences → records, in that order."""
+    return [
+        Record(
+            rid=int(rid),
+            text=text,
+            vec=np.asarray(vec, dtype=np.float32),
+            tokens=_tokens(text),
+        )
+        for rid, text, vec in zip(rids, texts, vecs)
+    ]
+
+
 def build_records(
-    pdf: pd.DataFrame, spec: DatasetSpec, dim: int = DEFAULT_DIM
+    pdf: pd.DataFrame, spec: DatasetSpec
 ) -> tuple[list[Record], dict[int, int]]:
     """Turn a generated dataset frame into (records, truth map).
 
@@ -83,16 +104,6 @@ def build_records(
     LLM oracle / metrics, never to pipeline logic.
     """
     texts = serialize_frame(pdf, spec)
-    vecs = embed_batch([strip_attr_labels(t) for t in texts], dim)
-    rids = pdf["record_id"].astype(int).to_numpy()
-    records = [
-        Record(
-            rid=int(rids[i]),
-            text=texts[i],
-            vec=vecs[i],
-            tokens=_tokens(texts[i]),
-        )
-        for i in range(len(pdf))
-    ]
+    records = make_records(pdf["record_id"], texts, embed_texts(texts))
     truth = dict(zip(pdf["record_id"].astype(int), pdf["entity_id"].astype(int)))
     return records, truth

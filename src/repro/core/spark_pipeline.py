@@ -1,7 +1,8 @@
 """Distributed LLM-CER over Spark DataFrames.
 
 Dataflow (DESIGN.md §Layering): the generated dataset becomes a Spark
-DataFrame; records are serialized and embedded with a pandas UDF; the
+DataFrame; records are serialized and embedded by one pandas UDF over
+:func:`repro.core.records.embed_texts`, the driver path's embedder; the
 embedded records are collected to the driver and blocked by the one LSH
 blocking function, :func:`repro.blocking.lsh.lsh_blocks`; the block map
 is joined back, and each block is resolved *independently* inside
@@ -21,21 +22,26 @@ with the input frames cached first (a different physical plan).
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import (
-    DoubleType, LongType, StringType, StructField, StructType,
+    ArrayType, DoubleType, FloatType, LongType, StringType, StructField,
+    StructType,
 )
 
 from ..blocking.lsh import lsh_blocks
 from ..datasets.schema import DatasetSpec
-from ..embed.hashing import DEFAULT_DIM, embed_udf
-from ..embed.hashing import tokens as _tokens
 from ..llm.profiles import GPT_4O_MINI, PROFILES, LLMProfile
 from ..llm.simulated import SimulatedLLM
-from .records import Record, serialize_frame, strip_attr_labels
+from .records import Record, embed_texts, make_records, serialize_frame
+
+
+@F.pandas_udf(ArrayType(FloatType()))
+def _embed(texts: pd.Series) -> pd.Series:
+    """Serialized text column → embedding column, as ``build_records``."""
+    return pd.Series(list(embed_texts(texts)))
+
 
 def records_df(
     spark: SparkSession, pdf: pd.DataFrame, spec: DatasetSpec
@@ -46,21 +52,12 @@ def records_df(
     df = spark.createDataFrame(
         base, "record_id long, entity_id long, text string"
     )
-    emb_text = F.udf(strip_attr_labels, StringType())(F.col("text"))
-    return df.withColumn("vec", embed_udf(DEFAULT_DIM)(emb_text))
+    return df.withColumn("vec", _embed(F.col("text")))
 
 
 def _records(pdf: pd.DataFrame) -> list[Record]:
     """Rows with ``record_id``/``text``/``vec`` → records, in row order."""
-    return [
-        Record(
-            rid=int(row.record_id),
-            text=row.text,
-            vec=np.asarray(row.vec, dtype=np.float32),
-            tokens=_tokens(row.text),
-        )
-        for row in pdf.itertuples()
-    ]
+    return make_records(pdf["record_id"], pdf["text"], pdf["vec"])
 
 
 def lsh_assign_blocks(df: DataFrame, *, seed: int = 0) -> DataFrame:

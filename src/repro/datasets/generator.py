@@ -196,13 +196,10 @@ def generate(spec: DatasetSpec) -> pd.DataFrame:
     rows: list[dict[str, object]] = []
     rid = 0
     for e, cnt in enumerate(counts):
-        for k in range(int(cnt)):
-            if k == 0:
-                # first record = lightly corrupted canonical (real datasets
-                # have no pristine row either)
-                row = _corrupt_record(canons[e], spec, g)
-            else:
-                row = _corrupt_record(canons[e], spec, g)
+        for _ in range(int(cnt)):
+            # every record, the first too, is a corrupted copy of the
+            # canonical (real datasets have no pristine row either)
+            row = _corrupt_record(canons[e], spec, g)
             rows.append({"record_id": rid, "entity_id": e, **row})
             rid += 1
     pdf = pd.DataFrame(rows)

@@ -8,16 +8,15 @@ cross-entity separation; the character features keep typo'd duplicates
 close — so LSH bucketing, MDG's similarity guardrail and CMR's cluster
 matching behave like they would on sentence embeddings.
 
-The embedder is deterministic (fixed FNV-1a hash), vectorised over
-batches, and exposed both as a NumPy function and a pandas UDF
-(`embed_udf`) for the distributed pipeline.
+The embedder is deterministic (fixed FNV-1a hash) and plain NumPy;
+the distributed pipeline calls the same ``embed_batch`` inside its
+pandas UDF (:func:`repro.core.spark_pipeline.records_df`).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
-import pandas as pd
-from pyspark.sql import functions as F
-from pyspark.sql.types import ArrayType, FloatType
 
 DEFAULT_DIM = 256
 _CHAR_NGRAM = 4
@@ -57,21 +56,11 @@ def embed_text(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     return v.astype(np.float32)
 
 
-def embed_batch(texts: "list[str] | pd.Series", dim: int = DEFAULT_DIM) -> np.ndarray:
+def embed_batch(texts: Sequence[str], dim: int = DEFAULT_DIM) -> np.ndarray:
     """Embed a batch of strings → (n, dim) float32 matrix."""
     return np.stack([embed_text(str(t), dim) for t in texts]) if len(texts) else (
         np.zeros((0, dim), dtype=np.float32)
     )
-
-
-def embed_udf(dim: int = DEFAULT_DIM):
-    """pandas UDF: string column → array<float> embedding column."""
-
-    @F.pandas_udf(ArrayType(FloatType()))
-    def _embed(texts: pd.Series) -> pd.Series:
-        return pd.Series([embed_text(str(t), dim).tolist() for t in texts])
-
-    return _embed
 
 
 def tokens(text: str) -> frozenset[str]:

@@ -12,6 +12,7 @@ together, dispersion preserved); benchmarks pick the scale via the
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import replace
 
 import numpy as np
 import pandas as pd
@@ -96,14 +97,12 @@ def table3(scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
 def table4(scale: float = 1.0, seed: int = 0, datasets=None) -> pd.DataFrame:
     """LLM-CER vs Booster vs BQ vs CrowdER+LLM on all nine datasets."""
     rows = []
-    method_keys = {"llm_cer": "llm_cer", "booster": "booster",
-                   "bq": "bq", "crowder": "crowder"}
     for name in datasets or SPECS:
         spec = registry.spec(name, scale)
         _, recs, truth = prepare(spec)
-        for method, key in method_keys.items():
+        for method in ("llm_cer", "booster", "bq", "crowder"):
             r = run_er(spec, method, seed=seed, prepared=(recs, truth))
-            pap = P.TABLE4[name][key]
+            pap = P.TABLE4[name][method]
             rows.append(
                 {
                     "dataset": DISPLAY[name], "method": method,
@@ -286,8 +285,6 @@ def table10(scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
 
 def _dispersion_spec(n_ent: int, e_d: int, seed_shift: int) -> DatasetSpec:
     base = SPECS["cora"]
-    from dataclasses import replace
-
     return replace(
         base, n_entities=n_ent, n_records=n_ent * e_d, seed=base.seed + seed_shift
     )
@@ -366,7 +363,7 @@ def table16(
                     spec, method, ft_frac=ft, seed=seed,
                     prepared=(recs, truth),
                 )
-                key = f"{tag}_{int(ft * 100)}" if ft else f"{tag}_0"
+                key = f"{tag}_{int(ft * 100)}"
                 rows.append(
                     {"dataset": DISPLAY[name], "method": method,
                      "ft": f"{int(ft * 100)}%",

@@ -250,12 +250,7 @@ class SimulatedLLM:
         # garbled partition: the model collapses the set into one
         # ungrounded group — maximal wrong-merge damage, which then
         # cascades through hierarchical merging if left uncaught
-        k = 1
-        assign = rng.integers(0, k, len(flat))
-        groups: dict[int, list[Record]] = {}
-        for r, gi in zip(flat, assign):
-            groups.setdefault(int(gi), []).append(r)
-        return sorted(groups.values(), key=lambda c: min(r.rid for r in c))
+        return [flat]
 
     def _cluster_tokens(self, records: Sequence[Record]) -> tuple[int, int]:
         tin = (
@@ -331,7 +326,6 @@ class SimulatedLLM:
         *,
         pairs_per_call: int = 5,
         demos: int = 8,
-        salt: int = 0,
     ) -> list[bool]:
         """BQ-style batched pairwise questioning [26].
 
@@ -356,7 +350,8 @@ class SimulatedLLM:
             )
             prev_ans: bool | None = None
             for q_pos, (a, b) in enumerate(chunk):
-                rng = self._rng([a.rid, b.rid], salt + 7)
+                # salt 7 keeps these draws apart from match_pair's
+                rng = self._rng([a.rid, b.rid], 7)
                 err = self._pair_error(a, b, ctx_pen) * (1.0 - demo_gain)
                 ans = self._same(a, b) ^ (rng.random() < err)
                 # ...but cross-question interference in a shared prompt

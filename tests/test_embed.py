@@ -122,21 +122,3 @@ class TestJaccard:
         a = frozenset({"x", "y"})
         b = frozenset({"y", "z"})
         assert jaccard(a, b) == pytest.approx(1 / 3)
-
-
-class TestEmbedUDF:
-    def test_udf_matches_local(self, spark):
-        from pyspark.sql import functions as F
-
-        from repro.embed.hashing import embed_udf
-
-        texts = ["alpha beta", "gamma delta epsilon", ""]
-        df = spark.createDataFrame([(t,) for t in texts], ["text"])
-        rows = (
-            df.withColumn("vec", embed_udf(32)(F.col("text")))
-            .orderBy("text")
-            .collect()
-        )
-        for row in rows:
-            expected = embed_text(row["text"], 32)
-            assert np.allclose(np.array(row["vec"]), expected, atol=1e-6)

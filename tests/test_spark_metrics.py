@@ -1,15 +1,10 @@
-"""Spark-SQL metrics vs pure-Python metrics vs DuckDB oracle."""
+"""Spark-SQL FP-measure vs pure-Python metrics vs DuckDB oracle."""
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.metrics import (
-    fp_measure, inverse_purity, pair_confusion, purity,
-)
-from repro.core.spark_metrics import (
-    cluster_size_histogram, contingency_df, fp_measure_spark,
-    inverse_purity_spark, pair_confusion_spark, purity_spark,
-)
+from repro.core.metrics import fp_measure
+from repro.core.spark_metrics import contingency_df, fp_measure_spark
 from repro.oracle import assert_equivalent
 
 
@@ -28,29 +23,14 @@ def assign_df(spark):
 
 
 class TestAgainstPython:
-    def test_purity(self, assign_df):
-        df, pred, truth = assign_df
-        assert purity_spark(df) == pytest.approx(purity(pred, truth))
-
-    def test_inverse_purity(self, assign_df):
-        df, pred, truth = assign_df
-        assert inverse_purity_spark(df) == pytest.approx(
-            inverse_purity(pred, truth)
-        )
-
     def test_fp_measure(self, assign_df):
         df, pred, truth = assign_df
         assert fp_measure_spark(df) == pytest.approx(fp_measure(pred, truth))
-
-    def test_pair_confusion(self, assign_df):
-        df, pred, truth = assign_df
-        assert pair_confusion_spark(df) == pair_confusion(pred, truth)
 
 
 class TestDegenerate:
     def test_single_record(self, spark):
         df = spark.createDataFrame([(0, 3, 4)], ["record_id", "pred", "truth"])
-        assert pair_confusion_spark(df) == {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
         assert fp_measure_spark(df) == 1.0
 
     def test_one_cluster_against_singletons(self, spark):
@@ -58,9 +38,9 @@ class TestDegenerate:
         df = spark.createDataFrame(rows, ["record_id", "pred", "truth"])
         pred = {r: p for r, p, _ in rows}
         truth = {r: t for r, _, t in rows}
-        assert pair_confusion_spark(df) == pair_confusion(pred, truth)
-        assert purity_spark(df) == purity(pred, truth) == 1 / 5
-        assert inverse_purity_spark(df) == 1.0
+        # purity 1/5, inverse purity 1: FP = 2 / (5 + 1)
+        assert fp_measure_spark(df) == fp_measure(pred, truth)
+        assert fp_measure_spark(df) == pytest.approx(1 / 3)
 
 
 class TestAgainstDuckDB:
@@ -73,35 +53,6 @@ class TestAgainstDuckDB:
             "GROUP BY pred, truth",
             assign=df,
         )
-
-    def test_histogram_oracle(self, assign_df):
-        df, _, _ = assign_df
-        out = cluster_size_histogram(df)
-        assert_equivalent(
-            out,
-            "SELECT size, COUNT(*) AS n_clusters FROM ("
-            "  SELECT pred, COUNT(*) AS size FROM assign GROUP BY pred"
-            ") GROUP BY size",
-            assign=df,
-        )
-
-    def test_pair_tp_oracle(self, assign_df, spark):
-        """TP pair count via Spark combinatorics == DuckDB join count."""
-        df, pred, truth = assign_df
-        tp_spark = pair_confusion_spark(df)["tp"]
-        import duckdb
-
-        con = duckdb.connect()
-        try:
-            con.register("assign", df.toPandas())
-            tp_sql = con.execute(
-                "SELECT COUNT(*) FROM assign a JOIN assign b "
-                "ON a.record_id < b.record_id "
-                "AND a.pred = b.pred AND a.truth = b.truth"
-            ).fetchone()[0]
-        finally:
-            con.close()
-        assert tp_spark == tp_sql
 
 
 class TestOracle:

@@ -30,13 +30,17 @@ class TestRecordsDf:
         assert df.count() == len(pdf)
 
     def test_vectors_match_local_embedder(self, spark_world):
-        from repro.core.records import strip_attr_labels
-        from repro.embed.hashing import embed_text
+        """Every row's vector is exactly ``build_records``' for its rid."""
+        from repro.core.records import build_records
 
-        _, _, df, _ = spark_world
-        row = df.orderBy("record_id").first()
-        expected = embed_text(strip_attr_labels(row["text"]))
-        assert np.allclose(np.array(row["vec"]), expected, atol=1e-6)
+        sp, pdf, df, _ = spark_world
+        recs, _ = build_records(pdf, sp)
+        want = {r.rid: r.vec for r in recs}
+        rows = df.select("record_id", "vec").collect()
+        assert len(rows) == len(want)
+        for row in rows:
+            got = np.asarray(row["vec"], dtype=np.float32)
+            assert np.array_equal(got, want[int(row["record_id"])])
 
 
 class TestLshAssignBlocks:
