@@ -8,8 +8,16 @@ set variation, and sequential ordering of similar records.
 Only embeddings are used — no ground truth. k-means is a small local
 NumPy implementation (blocks hold at most a few hundred records, and
 sklearn is out of scope for the offline container).
+
+k-means++ draws its centres one at a time from one RNG stream, so with
+one seed the seeding for k is the first k centres of the seeding for
+any larger k. The elbow therefore seeds once for ``k_max`` and runs
+Lloyd from each prefix: its run at k equals ``kmeans(vecs, k, seed)``
+exactly, and NRS reuses the labels of the k it picks.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +28,43 @@ from .records import Record
 KMEANS_ITERS = 20
 
 
+def _seed_centres(vecs: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k-means++ seeding: ``k`` centres drawn one at a time from one
+    RNG stream, each with probability proportional to its squared
+    distance to the nearest centre drawn so far."""
+    n = vecs.shape[0]
+    g = np.random.default_rng(seed)
+    idx = [int(g.integers(0, n))]
+    d2 = None
+    for _ in range(k - 1):
+        d = np.sum((vecs - vecs[idx[-1]]) ** 2, axis=1)
+        d2 = d if d2 is None else np.minimum(d2, d)
+        tot = d2.sum()
+        probs = d2 / tot if tot > 0 else np.full(n, 1.0 / n)
+        idx.append(int(g.choice(n, p=probs)))
+    return vecs[idx]
+
+
+def _lloyd(vecs: np.ndarray, centres: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lloyd's algorithm from the given centres → (labels, inertia)."""
+    c = centres.copy()
+    k = c.shape[0]
+    labels = np.zeros(vecs.shape[0], dtype=int)
+    for it in range(KMEANS_ITERS):
+        d = ((vecs[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d.argmin(axis=1)
+        if it > 0 and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            mask = labels == j
+            m = np.count_nonzero(mask)
+            if m:  # the mean, without np.mean's per-call overhead
+                c[j] = vecs[mask].sum(axis=0) / m
+    inertia = float(((vecs - c[labels]) ** 2).sum())
+    return labels, inertia
+
+
 def kmeans(
     vecs: np.ndarray, k: int, seed: int = 0
 ) -> tuple[np.ndarray, float]:
@@ -27,30 +72,28 @@ def kmeans(
     n = vecs.shape[0]
     if k <= 0 or k > n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    g = np.random.default_rng(seed)
-    # k-means++ seeding
-    centers = [vecs[int(g.integers(0, n))]]
-    for _ in range(k - 1):
-        d2 = np.min(
-            [np.sum((vecs - c) ** 2, axis=1) for c in centers], axis=0
-        )
-        tot = d2.sum()
-        probs = d2 / tot if tot > 0 else np.full(n, 1.0 / n)
-        centers.append(vecs[int(g.choice(n, p=probs))])
-    c = np.stack(centers)
-    labels = np.zeros(n, dtype=int)
-    for _ in range(KMEANS_ITERS):
-        d = ((vecs[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d.argmin(axis=1)
-        if np.array_equal(new_labels, labels) and _ > 0:
-            break
-        labels = new_labels
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                c[j] = vecs[mask].mean(axis=0)
-    inertia = float(((vecs - c[labels]) ** 2).sum())
-    return labels, inertia
+    return _lloyd(vecs, _seed_centres(vecs, k, seed))
+
+
+def _kmeans_runs(
+    vecs: np.ndarray, k_max: int, seed: int
+) -> list[tuple[np.ndarray, float]]:
+    """``kmeans(vecs, k, seed)`` for k = 1..k_max from one seeding."""
+    centres = _seed_centres(vecs, k_max, seed)
+    return [_lloyd(vecs, centres[:k]) for k in range(1, k_max + 1)]
+
+
+def _elbow(vecs: np.ndarray, k_max: int, seed: int) -> tuple[int, np.ndarray]:
+    """The k with the sharpest inertia-curve bend (``3 <= k_max <= n``)
+    and the labels of that k's run."""
+    runs = _kmeans_runs(vecs, k_max, seed)
+    # second difference of the inertia curve; +1 because ks start at 1
+    best_k, best_bend = 2, -np.inf
+    for i in range(1, k_max - 1):
+        bend = runs[i - 1][1] - 2 * runs[i][1] + runs[i + 1][1]
+        if bend > best_bend:
+            best_bend, best_k = bend, i + 1
+    return best_k, runs[best_k - 1][0]
 
 
 def elbow_k(vecs: np.ndarray, k_max: int = 8, seed: int = 0) -> int:
@@ -59,14 +102,44 @@ def elbow_k(vecs: np.ndarray, k_max: int = 8, seed: int = 0) -> int:
     k_max = min(k_max, n)
     if k_max <= 2:
         return max(1, k_max)
-    inertias = [kmeans(vecs, k, seed)[1] for k in range(1, k_max + 1)]
-    # second difference of the inertia curve; +1 because ks start at 1
-    best_k, best_bend = 2, -np.inf
-    for i in range(1, k_max - 1):
-        bend = inertias[i - 1] - 2 * inertias[i] + inertias[i + 1]
-        if bend > best_bend:
-            best_bend, best_k = bend, i + 1
-    return best_k
+    return _elbow(vecs, k_max, seed)[0]
+
+
+@lru_cache(maxsize=4096)
+def _variation(sizes: tuple[int, ...]) -> float:
+    """``set_variation`` memoised: the top-up scores the same few
+    pseudo-cluster size tuples over and over."""
+    return set_variation(sizes)
+
+
+def _top_up(
+    labels: np.ndarray, taken: np.ndarray, chosen_labels: list[int], room: int
+) -> list[int]:
+    """Alg. 1 lines 18–21: up to ``room`` open indices, picked one at a
+    time, each the open record whose pseudo-label least raises the set
+    variation (Eq. 1) of the chosen labels.
+
+    Every open record of one pseudo-cluster gives the same variation,
+    so only the first open index of each label is scored; on a tie the
+    lowest index wins.
+    """
+    taken = taken.copy()
+    trial_labels = list(chosen_labels)
+    picks: list[int] = []
+    while len(picks) < room and not taken.all():
+        open_idx = np.where(~taken)[0]
+        _, first = np.unique(labels[open_idx], return_index=True)
+        best_i, best_var = None, np.inf
+        for i in open_idx[np.sort(first)]:
+            counts = np.bincount(np.asarray(trial_labels + [int(labels[i])]))
+            v = _variation(tuple(counts[counts > 0].tolist()))
+            if v < best_var - 1e-12:
+                best_var, best_i = v, int(i)
+        assert best_i is not None
+        picks.append(best_i)
+        trial_labels.append(int(labels[best_i]))
+        taken[best_i] = True
+    return picks
 
 
 def next_record_set(
@@ -88,8 +161,7 @@ def next_record_set(
         return order_sequentially(remaining), []
 
     vecs = np.stack([r.vec for r in remaining])
-    k = elbow_k(vecs, k_max=min(8, len(remaining)), seed=seed)
-    labels, _ = kmeans(vecs, k, seed=seed)
+    k, labels = _elbow(vecs, min(8, len(remaining)), seed)
     target = max(1, s_s // s_d)
 
     chosen: list[Record] = []
@@ -112,19 +184,9 @@ def next_record_set(
             taken[i] = True
 
     # Lines 18–21: top up minimising the variation increase
-    while len(chosen) < s_s and not taken.all():
-        open_idx = np.where(~taken)[0]
-        best_i, best_var = None, np.inf
-        for i in open_idx:
-            trial = chosen_labels + [int(labels[i])]
-            counts = np.bincount(np.asarray(trial))
-            v = set_variation(counts[counts > 0])
-            if v < best_var - 1e-12:
-                best_var, best_i = v, int(i)
-        assert best_i is not None
-        chosen.append(remaining[best_i])
-        chosen_labels.append(int(labels[best_i]))
-        taken[best_i] = True
+    for i in _top_up(labels, taken, chosen_labels, s_s - len(chosen)):
+        chosen.append(remaining[i])
+        taken[i] = True
 
     rset = order_sequentially(chosen)  # Line 22
     rest = [r for i, r in enumerate(remaining) if not taken[i]]

@@ -163,15 +163,17 @@ class SimulatedLLM:
         return float((1.0 / (n_eff - 1)) ** self.profile.context_gain)
 
     def _pair_error(
-        self, a: Record, b: Record, pen_scale: float, discount: float = 1.0
+        self, a: Record, b: Record, pen_scale: float, discount: float,
+        few_shot: float,
     ) -> float:
         """Per-pair flip probability: ambiguity-driven error amplified
-        multiplicatively by the set-level penalty scale and discounted
-        by in-prompt context."""
+        multiplicatively by the set-level penalty scale, discounted by
+        in-prompt context and scaled by ``_few_shot_factor()`` (passed
+        in, so a set's pairs compute it once)."""
         p = self.profile
         amb = pair_ambiguity(a, b, self._same(a, b))
         err = (p.base_error + p.ambiguity_weight * amb * amb) * (1.0 + pen_scale)
-        return float(np.clip(err * discount * self._few_shot_factor(), 0.0, 0.45))
+        return min(max(err * discount * few_shot, 0.0), 0.45)
 
     # ------------------------------------------------------- clustering call
 
@@ -196,6 +198,7 @@ class SimulatedLLM:
         pen = self._set_penalty(records, cap) * factor
         pen += max(0.0, factor - 1.0) * 0.05
         discount = self._context_discount(n, cap)
+        few_shot = self._few_shot_factor()
         # coherent splits of large homogeneous groups: perturb the
         # oracle's own view of the entities for this call
         eff_truth = {r.rid: self.truth[r.rid] for r in records}
@@ -215,7 +218,7 @@ class SimulatedLLM:
         for i in range(n):
             for k in range(i + 1, n):
                 a, b = records[i], records[k]
-                err = self._pair_error(a, b, pen, discount)
+                err = self._pair_error(a, b, pen, discount, few_shot)
                 same_seen = eff_truth[a.rid] == eff_truth[b.rid]
                 judged_same = same_seen ^ (rng.random() < err)
                 if judged_same:
@@ -314,7 +317,7 @@ class SimulatedLLM:
             8,
         )
         rng = self._rng([a.rid, b.rid], salt)
-        err = self._pair_error(a, b, 0.0)
+        err = self._pair_error(a, b, 0.0, 1.0, self._few_shot_factor())
         ans = self._same(a, b) ^ (rng.random() < err)
         if rng.random() < self.profile.hallucination_rate * 0.1:
             ans = not ans  # single-question prompts rarely hallucinate
@@ -338,6 +341,7 @@ class SimulatedLLM:
         answers: list[bool] = []
         # demos sharpen individual judgments a little...
         demo_gain = 0.4 * self.profile.few_shot_gain * min(demos, 8) / 8.0
+        few_shot = self._few_shot_factor()
         for c0 in range(0, len(pairs), pairs_per_call):
             chunk = list(pairs[c0 : c0 + pairs_per_call])
             tin = _PROMPT_OVERHEAD + demos * _DEMO_TOKENS
@@ -352,7 +356,8 @@ class SimulatedLLM:
             for q_pos, (a, b) in enumerate(chunk):
                 # salt 7 keeps these draws apart from match_pair's
                 rng = self._rng([a.rid, b.rid], 7)
-                err = self._pair_error(a, b, ctx_pen) * (1.0 - demo_gain)
+                err = self._pair_error(a, b, ctx_pen, 1.0, few_shot)
+                err *= 1.0 - demo_gain
                 ans = self._same(a, b) ^ (rng.random() < err)
                 # ...but cross-question interference in a shared prompt
                 # corrupts answers in ways a single-pair prompt cannot:

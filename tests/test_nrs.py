@@ -1,10 +1,15 @@
 """Unit tests for Algorithm 1 (Next Record Set creation) and k-means."""
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.nrs import (
-    elbow_k, kmeans, next_record_set, record_sets_for_block,
+    _kmeans_runs, _top_up, elbow_k, kmeans, next_record_set,
+    record_sets_for_block,
 )
+from repro.core.factors import set_variation
 from repro.core.records import Record
 from repro.embed.hashing import embed_text, tokens
 
@@ -130,3 +135,143 @@ class TestRecordSetsForBlock:
     def test_single_record_block(self, three_groups):
         sets = record_sets_for_block(three_groups[:1], 9, 4)
         assert sets == [[three_groups[0]]]
+
+
+def _golden_block():
+    """113 float32 unit vectors: 16 noisy groups of 1–15, shuffled."""
+    g = np.random.default_rng(2024)
+    sizes = g.integers(1, 16, size=16)
+    vecs = np.repeat(g.normal(size=(len(sizes), 256)), sizes, axis=0)
+    vecs = vecs + 0.8 * g.normal(size=vecs.shape)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    vecs = vecs[g.permutation(len(vecs))].astype(np.float32)
+    return [
+        Record(rid=i, text=f"r{i}", vec=v, tokens=frozenset())
+        for i, v in enumerate(vecs)
+    ]
+
+
+def _sha(*parts: bytes) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.hexdigest()
+
+
+class TestGolden:
+    """Outputs frozen as the straightforward implementation produced
+    them (a fresh k-means++ seeding per k, every open record scored in
+    the top-up); the shared seeding must not move a single rid."""
+
+    RECORD_SETS = {
+        0: "c66f08d918dc2242cb0023c18477300f5206db731c83dbf813f6c149d2ac9935",
+        1: "1825e41f529d068c9a3e11e8b59f32d1627137e28d289217ea1d5595e330a161",
+    }
+    KMEANS = {  # labels and inertia of kmeans(vecs, k, seed), k = 1..8
+        0: "c0293bc77d84a16a0d39a110edb723e685ce8d4cfc49b9464751d28b43f2c228",
+        1: "1bb9688fb32a648eb735be004739afcdd062f9ffa3b6bb272d3c97e5f2f15e4d",
+    }
+    ELBOW = {0: [2, 3, 6], 1: [2, 4, 5]}  # elbow_k at k_max = 3, 5, 8
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_record_sets(self, seed):
+        block = _golden_block()
+        assert len(block) >= 100
+        sets = record_sets_for_block(block, 9, 4, seed=seed)
+        rids = json.dumps([[r.rid for r in s] for s in sets])
+        assert _sha(rids.encode()) == self.RECORD_SETS[seed]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_kmeans_and_elbow(self, seed):
+        vecs = np.stack([r.vec for r in _golden_block()])
+        parts = []
+        for k in range(1, 9):
+            labels, inertia = kmeans(vecs, k, seed)
+            parts += [labels.astype(np.int64).tobytes(), repr(inertia).encode()]
+        assert _sha(*parts) == self.KMEANS[seed]
+        assert [elbow_k(vecs, km, seed) for km in (3, 5, 8)] == self.ELBOW[seed]
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_elbow_runs_are_kmeans_runs(self, seed):
+        # k-means++ seeding for k is a prefix of the seeding for k_max
+        vecs = np.stack([r.vec for r in _golden_block()])
+        runs = _kmeans_runs(vecs, 8, seed)
+        assert len(runs) == 8
+        for k, (labels, inertia) in enumerate(runs, start=1):
+            want_labels, want_inertia = kmeans(vecs, k, seed)
+            assert np.array_equal(labels, want_labels)
+            assert inertia == want_inertia
+
+
+class TestTopUp:
+    def test_tie_goes_to_lowest_open_index(self):
+        # adding label 0 or label 1 to [0, 1] gives the same variation;
+        # index 0 (label 1) is open first, so it wins over label 0
+        labels = np.array([1, 0, 1, 0])
+        taken = np.zeros(4, dtype=bool)
+        assert _top_up(labels, taken, [0, 1], 1) == [0]
+        taken[0] = True
+        assert _top_up(labels, taken, [0, 1], 1) == [1]
+
+    def test_lowest_variation_wins_over_index(self):
+        labels = np.array([0, 0, 1])
+        taken = np.zeros(3, dtype=bool)
+        assert _top_up(labels, taken, [0, 0, 1], 1) == [2]
+
+    def test_fills_room_without_touching_inputs(self):
+        labels = np.array([2, 0, 0, 1, 2])
+        taken = np.array([False, True, False, False, False])
+        chosen = [0]
+        picks = _top_up(labels, taken, chosen, 3)
+        assert len(picks) == len(set(picks)) == 3
+        assert not taken[picks].any()
+        assert chosen == [0] and taken.sum() == 1
+        assert sorted(_top_up(labels, taken, chosen, 10)) == [0, 2, 3, 4]
+
+
+def _top_up_every_index(labels, taken, chosen_labels, room):
+    """Reference top-up: scores every open index, as Alg. 1 reads."""
+    taken = taken.copy()
+    trial_labels = list(chosen_labels)
+    picks = []
+    while len(picks) < room and not taken.all():
+        best_i, best_var = None, np.inf
+        for i in np.where(~taken)[0]:
+            counts = np.bincount(np.asarray(trial_labels + [int(labels[i])]))
+            v = set_variation(counts[counts > 0])
+            if v < best_var - 1e-12:
+                best_var, best_i = v, int(i)
+        picks.append(best_i)
+        trial_labels.append(int(labels[best_i]))
+        taken[best_i] = True
+    return picks
+
+
+def test_top_up_matches_every_index_reference():
+    g = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(g.integers(1, 40))
+        labels = g.integers(0, int(g.integers(1, 9)), size=n)
+        taken = g.random(n) < 0.3
+        chosen = [int(x) for x in g.integers(0, 8, size=int(g.integers(0, 6)))]
+        room = int(g.integers(1, 10))
+        assert _top_up(labels, taken, chosen, room) == _top_up_every_index(
+            labels, taken, chosen, room
+        )
+
+
+class TestDegenerate:
+    @pytest.mark.parametrize(
+        "vec",
+        [np.zeros(256, np.float32), np.full(256, 1 / 16, np.float32)],
+        ids=["zero", "identical"],
+    )
+    def test_forty_equal_vectors(self, vec):
+        block = [
+            Record(rid=i, text="x", vec=vec.copy(), tokens=frozenset())
+            for i in range(40)
+        ]
+        sets = record_sets_for_block(block, 9, 4, seed=0)
+        assert [[r.rid for r in s] for s in sets] == [
+            list(range(i, min(i + 9, 40))) for i in range(0, 40, 9)
+        ]
