@@ -11,7 +11,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 from _common import emit, make_parser
 
-from repro.experiments.tables import TABLES
+from repro.experiments.tables import TABLES, Runs
 
 
 def main() -> None:
@@ -19,7 +19,7 @@ def main() -> None:
     parser.add_argument("--table", required=True, choices=list(TABLES))
     args = parser.parse_args()
     title, build = TABLES[args.table]
-    emit(build(args.scale, args.seed), title, args.out)
+    emit(build(Runs(args.scale, args.seed)), title, args.out)
 
 
 if __name__ == "__main__":

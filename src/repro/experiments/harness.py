@@ -25,7 +25,6 @@ from ..core.metrics import all_metrics
 from ..core.pipeline import resolve_block
 from ..core.records import Record, build_records
 from ..datasets.generator import generate
-from ..datasets.registry import SPECS
 from ..datasets.schema import DatasetSpec
 from ..llm.profiles import GPT_4O_MINI, LLMProfile
 from ..llm.simulated import SimulatedLLM
@@ -65,9 +64,10 @@ def prepare(
 
 
 def run_er(
-    spec: DatasetSpec | str,
+    spec: DatasetSpec,
     method: str = "llm_cer",
     *,
+    prepared: tuple[list[Record], dict[int, int]],
     profile: LLMProfile = GPT_4O_MINI,
     blocking: str = "lsh",
     s_s: int = 9,
@@ -79,21 +79,16 @@ def run_er(
     few_shot_hard: bool = False,
     ft_frac: float = 0.0,
     seed: int = 0,
-    prepared: tuple[list[Record], dict[int, int]] | None = None,
 ) -> RunResult:
     """Run one end-to-end experiment; see METHODS for method names.
 
-    ``prepared`` lets callers reuse (records, truth) across methods so
-    a table's rows share the exact same input.
+    ``prepared`` is ``spec``'s (records, truth), as ``prepare(spec)[1:]``
+    gives them; reusing it across methods gives a table's rows the exact
+    same input.
     """
-    if isinstance(spec, str):
-        spec = SPECS[spec]
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; one of {METHODS}")
-    if prepared is None:
-        _, recs, truth = prepare(spec)
-    else:
-        recs, truth = prepared
+    recs, truth = prepared
 
     blocks = BLOCKERS[blocking](recs)
     llm = SimulatedLLM(

@@ -1,71 +1,51 @@
 """Key-factor sweep machinery (§4.2, Tables 5 & 9).
 
-Controlled record sets are sampled from a dataset at fixed set size,
-diversity, variation band and ordering (``sweep_config`` uses
-``SV_LEVEL`` and ``ORDERING``), clustered *raw* by the LLM
-(no guardrail — §4.2 measures the model itself), and scored per set
-against the restricted ground truth. ``optimal_factors`` then picks
-the configuration the paper's procedure would: the largest set size
-whose FP-measure is within tolerance of the best (maximising size
-minimises API calls), and the best diversity at that size.
+Controlled record sets are sampled from a dataset at fixed set size and
+diversity, with balanced cluster sizes (at most one apart) and each
+entity's records kept together (sequential order), clustered *raw* by
+the LLM (no guardrail — §4.2 measures the model itself), and scored
+per set against the restricted ground truth. ``optimal_factors`` then
+picks the configuration the paper's procedure would: the largest set
+size whose FP-measure is within ``TOLERANCE`` of the best (maximising
+size minimises API calls), and the best diversity at that size.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from ..core.factors import set_variation
 from ..core.mdg import structurally_valid
 from ..core.metrics import all_metrics, clusters_to_assignment
 from ..core.records import Record
 from ..llm.profiles import LLMProfile
 from ..llm.simulated import SimulatedLLM
 
-SV_LEVELS = ("balanced", "relative", "unbalanced")
-#: the variation band and record order every sweep configuration uses
-SV_LEVEL = "balanced"
-ORDERING = "sequential"
+#: the set sizes and diversities ``optimal_factors`` sweeps
+S_S_GRID = (4, 5, 6, 7, 8, 9, 10, 11, 12, 13)
+S_D_GRID = (2, 3, 4, 5)
+#: sampled record sets per (Ss, Sd) configuration
+N_QUESTIONS = 60
+#: FP-measure slack within which a larger set size wins
+TOLERANCE = 0.03
 
 
-def _allocate_sizes(
-    s_s: int, s_d: int, sv_level: str, rng: np.random.Generator
-) -> list[int]:
-    """Cluster sizes summing to ``s_s`` in the requested variation band:
-    balanced (CV<0.3), relatively balanced (0.3–0.7), unbalanced (>0.7)."""
+def _allocate_sizes(s_s: int, s_d: int) -> list[int]:
+    """``s_d`` cluster sizes, at most one apart, summing to ``s_s``."""
     if s_d > s_s:
         raise ValueError("diversity cannot exceed set size")
     base, extra = divmod(s_s, s_d)
-    if sv_level == "balanced":
-        sizes = [base + (1 if i < extra else 0) for i in range(s_d)]
-    elif sv_level == "relative":
-        sizes = [base + (1 if i < extra else 0) for i in range(s_d)]
-        # shift mass to the first cluster until CV enters the band
-        while (
-            len(sizes) > 1 and set_variation(sizes) < 0.3 and min(sizes) > 1
-        ):
-            sizes[0] += 1
-            sizes[int(np.argmax(sizes[1:])) + 1] -= 1
-            sizes = sorted(sizes, reverse=True)
-    elif sv_level == "unbalanced":
-        sizes = [s_s - (s_d - 1)] + [1] * (s_d - 1)
-    else:
-        raise ValueError(f"unknown variation level {sv_level!r}")
-    assert sum(sizes) == s_s
-    return [s for s in sizes if s > 0]
+    return [base + (1 if i < extra else 0) for i in range(s_d)]
 
 
 def controlled_record_set(
     by_entity: dict[int, list[Record]],
     s_s: int,
     s_d: int,
-    sv_level: str,
-    ordering: str,
     rng: np.random.Generator,
 ) -> list[Record] | None:
-    """Sample one record set with the requested factor levels, or None
-    if the dataset lacks entities with enough duplicates."""
-    sizes = _allocate_sizes(s_s, s_d, sv_level, rng)
+    """Sample one record set with the requested factor levels, each
+    entity's records contiguous, or None if the dataset lacks entities
+    with enough duplicates."""
+    sizes = _allocate_sizes(s_s, s_d)
     # match each slot to any entity that can fill it
     ents = list(by_entity)
     rng.shuffle(ents)
@@ -89,15 +69,7 @@ def controlled_record_set(
         pool = list(by_entity[e])
         idx = rng.choice(len(pool), size=size, replace=False)
         groups.append([pool[i] for i in idx])
-    if ordering == "sequential":
-        flat = [r for g in groups for r in g]
-    elif ordering == "random":
-        flat = [r for g in groups for r in g]
-        perm = rng.permutation(len(flat))
-        flat = [flat[i] for i in perm]
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
-    return flat
+    return [r for g in groups for r in g]
 
 
 def records_by_entity(
@@ -116,7 +88,7 @@ def sweep_config(
     *,
     s_s: int,
     s_d: int,
-    n_questions: int = 200,
+    n_questions: int = N_QUESTIONS,
     seed: int = 0,
 ) -> dict[str, float]:
     """Mean per-set quality for one factor configuration."""
@@ -126,13 +98,13 @@ def sweep_config(
     accs, fps = [], []
     misses = 0
     for q in range(n_questions):
-        rset = controlled_record_set(by_ent, s_s, s_d, SV_LEVEL, ORDERING, rng)
+        rset = controlled_record_set(by_ent, s_s, s_d, rng)
         if rset is None:
             misses += 1
             if misses > 20:
                 break
             continue
-        clusters = llm.cluster_records(rset, salt=q, _account=False)
+        clusters = llm.cluster_records(rset, salt=q)
         if not structurally_valid(rset, clusters):
             accs.append(0.0)  # hallucinated answer scores zero
             fps.append(0.0)
@@ -157,34 +129,28 @@ def optimal_factors(
     truth: dict[int, int],
     profile: LLMProfile,
     *,
-    s_s_grid: Sequence[int] = (4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
-    s_d_grid: Sequence[int] = (2, 3, 4, 5),
-    n_questions: int = 250,
-    tolerance: float = 0.03,
     seed: int = 0,
 ) -> tuple[int, int]:
     """The paper's optimum-selection rule → (Ss*, Sd*).
 
-    Sweep at balanced variation + sequential order. Each set size is
-    scored by its FP-measure *averaged over the diversity grid* (a
-    variance-reduction trick: per-(Ss, Sd) estimates from a few hundred
-    sampled sets are noisy, and the size decision only needs the size
-    marginal). Among sizes within ``tolerance`` of the best score, take
-    the largest (bigger sets = fewer API calls); report the best
-    diversity at that size.
+    Each set size is scored by its FP-measure *averaged over the
+    diversity grid* (a variance-reduction trick: per-(Ss, Sd) estimates
+    from a few dozen sampled sets are noisy, and the size decision only
+    needs the size marginal). Among sizes within ``TOLERANCE`` of the
+    best score, take the largest (bigger sets = fewer API calls); report
+    the best diversity at that size.
     """
     score_by_ss: dict[int, float] = {}
     best_sd_by_ss: dict[int, int] = {}
-    for s_s in s_s_grid:
+    for s_s in S_S_GRID:
         fps: list[float] = []
-        best = (-1.0, s_d_grid[0])
-        for sd_i, s_d in enumerate(s_d_grid):
+        best = (-1.0, S_D_GRID[0])
+        for sd_i, s_d in enumerate(S_D_GRID):
             if s_d > s_s:
                 continue
             m = sweep_config(
                 records, truth, profile,
-                s_s=s_s, s_d=s_d, n_questions=n_questions,
-                seed=seed + 101 * sd_i,
+                s_s=s_s, s_d=s_d, seed=seed + 101 * sd_i,
             )
             if np.isnan(m["fp"]):
                 continue
@@ -198,6 +164,6 @@ def optimal_factors(
         raise ValueError("dataset too small for any sweep configuration")
     global_best = max(score_by_ss.values())
     s_s_opt = max(
-        ss for ss, fp in score_by_ss.items() if fp >= global_best - tolerance
+        ss for ss, fp in score_by_ss.items() if fp >= global_best - TOLERANCE
     )
     return s_s_opt, best_sd_by_ss[s_s_opt]

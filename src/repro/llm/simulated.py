@@ -270,14 +270,13 @@ class SimulatedLLM:
             raise ValueError("duplicate records in a record set")
 
     def cluster_records(
-        self, records: Sequence[Record], *, salt: int = 0, _account: bool = True
+        self, records: Sequence[Record], *, salt: int = 0
     ) -> list[list[Record]]:
         """One in-context clustering API call over a record set."""
         if not records:
             return []
         self._check_distinct(records)
-        if _account:
-            self.ledger.add_call(*self._cluster_tokens(records))
+        self.ledger.add_call(*self._cluster_tokens(records))
         return self._answer(records, salt)
 
     def cluster_batch(

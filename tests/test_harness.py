@@ -42,12 +42,6 @@ class TestRunEr:
         with pytest.raises(ValueError):
             run_er(sp, "nope", prepared=prepared)
 
-    def test_string_dataset_name(self, monkeypatch):
-        # a name is looked up in the registry; a small Cora stands in
-        monkeypatch.setitem(harness.SPECS, "cora", spec("cora", 0.05))
-        r = run_er("cora", "llm_cer", seed=0)
-        assert r.dataset == "cora"
-
     def test_level_counts_only_for_llm_cer(self, prepared_cora):
         sp, prepared = prepared_cora
         cer = run_er(sp, "llm_cer", seed=0, prepared=prepared)
@@ -128,7 +122,10 @@ def test_batched_run_golden(name, scale, use_mdg, want, monkeypatch):
         return llms[-1]
 
     monkeypatch.setattr(harness, "SimulatedLLM", capture)
-    r = run_er(spec(name, scale), "llm_cer", batch_size=4, use_mdg=use_mdg)
+    sp = spec(name, scale)
+    r = run_er(
+        sp, "llm_cer", batch_size=4, use_mdg=use_mdg, prepared=prepare(sp)[1:]
+    )
     led = llms[-1].ledger
     got = (_partition_hash(r.assignment), led.n_calls, led.in_tokens,
            led.out_tokens)

@@ -117,12 +117,6 @@ class TestClusterRecords:
         assert llm.ledger.n_calls == 1
         assert llm.ledger.in_tokens > sum(r.n_tokens_llm for r in recs)
 
-    def test_no_accounting_flag(self, easy_world):
-        recs, truth = easy_world
-        llm = SimulatedLLM(truth, GPT_4O_MINI, seed=1)
-        llm.cluster_records(recs, _account=False)
-        assert llm.ledger.n_calls == 0
-
     def test_duplicate_input_rejected(self, easy_world):
         recs, truth = easy_world
         llm = SimulatedLLM(truth, GPT_4O_MINI)
@@ -140,7 +134,7 @@ class TestErrorModel:
         llm = SimulatedLLM(truth, GPT_4O_MINI, seed=11)
         wrong = total = 0
         for salt in range(n_trials):
-            clusters = llm.cluster_records(recs, salt=salt, _account=False)
+            clusters = llm.cluster_records(recs, salt=salt)
             out_ids = {r.rid for c in clusters for r in c}
             if out_ids != {r.rid for r in recs}:
                 continue  # hallucinated call: structural, not pairwise

@@ -4,36 +4,27 @@ import pytest
 
 from repro.core.factors import set_variation
 from repro.experiments.sweeps import (
-    SV_LEVELS, _allocate_sizes, controlled_record_set, optimal_factors,
-    records_by_entity, sweep_config,
+    S_D_GRID, S_S_GRID, _allocate_sizes, controlled_record_set,
+    optimal_factors, records_by_entity, sweep_config,
 )
 from repro.llm.profiles import GPT_4O_MINI
 
 
 class TestAllocateSizes:
-    @pytest.mark.parametrize("sv", SV_LEVELS)
-    @pytest.mark.parametrize("s_s,s_d", [(9, 4), (9, 3), (8, 2), (6, 3)])
-    def test_sums_to_set_size(self, s_s, s_d, sv):
-        g = np.random.default_rng(0)
-        assert sum(_allocate_sizes(s_s, s_d, sv, g)) == s_s
+    @pytest.mark.parametrize(
+        "s_s,s_d",
+        [(9, 4), (9, 3), (8, 2), (6, 3)],
+        ids=["9-4-balanced", "9-3-balanced", "8-2-balanced", "6-3-balanced"],
+    )
+    def test_sums_to_set_size(self, s_s, s_d):
+        assert sum(_allocate_sizes(s_s, s_d)) == s_s
 
     def test_balanced_low_cv(self):
-        g = np.random.default_rng(0)
-        assert set_variation(_allocate_sizes(9, 3, "balanced", g)) < 0.3
-
-    def test_unbalanced_high_cv(self):
-        g = np.random.default_rng(0)
-        assert set_variation(_allocate_sizes(9, 3, "unbalanced", g)) > 0.7
+        assert set_variation(_allocate_sizes(9, 3)) < 0.3
 
     def test_diversity_exceeding_size_rejected(self):
-        g = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            _allocate_sizes(3, 5, "balanced", g)
-
-    def test_unknown_level_rejected(self):
-        g = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            _allocate_sizes(9, 3, "weird", g)
+            _allocate_sizes(3, 5)
 
 
 class TestControlledRecordSet:
@@ -41,7 +32,7 @@ class TestControlledRecordSet:
         _, _, recs, truth = cora_small
         by_ent = records_by_entity(recs, truth)
         rng = np.random.default_rng(0)
-        rset = controlled_record_set(by_ent, 9, 4, "balanced", "sequential", rng)
+        rset = controlled_record_set(by_ent, 9, 4, rng)
         assert rset is not None
         assert len(rset) == 9
         assert len({truth[r.rid] for r in rset}) == 4
@@ -50,7 +41,7 @@ class TestControlledRecordSet:
         _, _, recs, truth = cora_small
         by_ent = records_by_entity(recs, truth)
         rng = np.random.default_rng(1)
-        rset = controlled_record_set(by_ent, 9, 3, "balanced", "sequential", rng)
+        rset = controlled_record_set(by_ent, 9, 3, rng)
         labels = [truth[r.rid] for r in rset]
         switches = sum(
             1 for i in range(len(labels) - 1) if labels[i] != labels[i + 1]
@@ -61,16 +52,9 @@ class TestControlledRecordSet:
         by_ent = {0: [], 1: []}
         rng = np.random.default_rng(0)
         assert (
-            controlled_record_set(by_ent, 9, 4, "balanced", "sequential", rng)
+            controlled_record_set(by_ent, 9, 4, rng)
             is None
         )
-
-    def test_unknown_ordering_rejected(self, cora_small):
-        _, _, recs, truth = cora_small
-        by_ent = records_by_entity(recs, truth)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            controlled_record_set(by_ent, 9, 4, "balanced", "zigzag", rng)
 
 
 class TestSweepConfig:
@@ -94,9 +78,6 @@ class TestSweepConfig:
 class TestOptimalFactors:
     def test_returns_valid_config(self, cora_small):
         _, _, recs, truth = cora_small
-        ss, sd = optimal_factors(
-            recs, truth, GPT_4O_MINI,
-            s_s_grid=(4, 6, 9), s_d_grid=(2, 3, 4), n_questions=20, seed=0,
-        )
-        assert ss in (4, 6, 9)
-        assert sd in (2, 3, 4) and sd <= ss
+        ss, sd = optimal_factors(recs, truth, GPT_4O_MINI, seed=0)
+        assert ss in S_S_GRID
+        assert sd in S_D_GRID and sd <= ss
