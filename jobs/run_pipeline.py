@@ -2,9 +2,12 @@
 
 Runs the full Spark dataflow on one dataset: records DF → embedding
 pandas UDF → LSH blocking of the collected records (the driver path's
-``lsh_blocks``) → per-block Algorithm 4 via ``applyInPandas`` →
+``lsh_blocks``) → a new frame of those rows with their ``block_id``,
+one partition per core → per-block Algorithm 4 via ``applyInPandas`` →
 Spark-SQL metric aggregation, and prints quality + ledger totals.
 ``--seed s`` gives the same result as ``harness.run_er(seed=s)``.
+The Spark-SQL FP-measure must equal the driver's to within 1e-9;
+otherwise the job exits non-zero with both values.
 
 Usage: ``spark-submit jobs/run_pipeline.py --dataset cora --scale 1.0``
 """
@@ -60,6 +63,11 @@ def main() -> None:
         f" cost_usd={cost:.3f} sim_time_min={led['sim_time_s'] / 60:.1f}"
     )
     spark.stop()
+    if abs(fp_spark - quality["fp"]) > 1e-9:
+        sys.exit(
+            f"FP cross-check failed: fp_spark={fp_spark!r}"
+            f" != fp={quality['fp']!r}"
+        )
 
 
 if __name__ == "__main__":

@@ -4,12 +4,14 @@ Dataflow (DESIGN.md §Layering): the generated dataset becomes a Spark
 DataFrame; records are serialized and embedded by one pandas UDF over
 :func:`repro.core.records.embed_texts`, the driver path's embedder; the
 embedded records are collected to the driver and blocked by the one LSH
-blocking function, :func:`repro.blocking.lsh.lsh_blocks`; the block map
-is joined back, and each block is resolved *independently* inside
-``applyInPandas`` running the same per-block Algorithm 4 as the driver
-path. Per-block ledgers come back as columns and are aggregated with
-Spark SQL. Spark thus distributes the embedding and the per-block
-resolution; blocking itself runs once, on the driver.
+blocking function, :func:`repro.blocking.lsh.lsh_blocks`; the collected
+rows, less their vectors, become a new frame with a ``block_id``
+column, hash-partitioned on ``block_id`` into one partition per core,
+and each block is resolved *independently* inside ``applyInPandas``,
+which embeds the block's texts again and runs the same per-block
+Algorithm 4 as the driver path. Per-block ledgers come back as columns
+and are aggregated with Spark SQL. Spark thus distributes the embedding
+and the per-block resolution; blocking itself runs once, on the driver.
 
 The distributed run gives exactly the single-process result
 (:func:`repro.experiments.harness.run_er` with ``method="llm_cer"``) on
@@ -34,7 +36,7 @@ from ..blocking.lsh import lsh_blocks
 from ..datasets.schema import DatasetSpec
 from ..llm.profiles import GPT_4O_MINI, PROFILES, LLMProfile
 from ..llm.simulated import SimulatedLLM
-from .records import Record, embed_texts, make_records, serialize_frame
+from .records import embed_texts, make_records, serialize_frame
 
 
 @F.pandas_udf(ArrayType(FloatType()))
@@ -55,26 +57,33 @@ def records_df(
     return df.withColumn("vec", _embed(F.col("text")))
 
 
-def _records(pdf: pd.DataFrame) -> list[Record]:
-    """Rows with ``record_id``/``text``/``vec`` → records, in row order."""
-    return make_records(pdf["record_id"], pdf["text"], pdf["vec"])
-
-
 def lsh_assign_blocks(df: DataFrame, *, seed: int = 0) -> DataFrame:
-    """Add a ``block_id`` column: the record's block in ``lsh_blocks``.
+    """``records_df``'s frame → its rows with their block in ``lsh_blocks``.
 
     The records are collected in ``record_id`` order (the order of
     :func:`repro.experiments.harness.prepare`'s records) and blocked by
     :func:`repro.blocking.lsh.lsh_blocks`; ``block_id`` is the block's
     position in that list, the ``i`` the driver path resolves it with.
+
+    The result is a new frame built from the collected rows, with the
+    columns ``record_id``, ``entity_id``, ``text`` and ``block_id``.
+    It has no ``vec``: shipping the vectors back from the driver costs
+    more driver memory than re-embedding a block's texts costs its task
+    (``embed_texts`` gives each row the same vector in any batch). Being
+    a new frame, it never re-runs ``df``'s embedding UDF.
     """
-    pdf = df.select("record_id", "text", "vec").toPandas()
-    blocks = lsh_blocks(_records(pdf.sort_values("record_id")), seed=seed)
-    mapping = [(r.rid, bi) for bi, blk in enumerate(blocks) for r in blk]
-    block_map = df.sparkSession.createDataFrame(
-        mapping, "record_id long, block_id long"
+    pdf = df.select("record_id", "entity_id", "text", "vec").toPandas()
+    pdf = pdf.sort_values("record_id", ignore_index=True)
+    recs = make_records(pdf["record_id"], pdf["text"], pdf.pop("vec"))
+    block_of = {
+        r.rid: bi for bi, blk in enumerate(lsh_blocks(recs, seed=seed))
+        for r in blk
+    }
+    del recs  # vectors and token sets go before the frame is copied out
+    pdf["block_id"] = pdf["record_id"].map(block_of).astype("int64")
+    return df.sparkSession.createDataFrame(
+        pdf, "record_id long, entity_id long, text string, block_id long"
     )
-    return df.join(block_map, on="record_id", how="inner")
 
 
 _RESULT_SCHEMA = StructType(
@@ -106,6 +115,16 @@ def resolve_blocks_distributed(
     Output columns: record_id, block_id, ``label`` (globally unique
     string ``block/local``) and per-block ledger totals (repeated on
     each of the block's rows — aggregate with ``ledger_totals``).
+
+    The blocks are hash-partitioned on ``block_id`` into
+    ``defaultParallelism`` partitions, one task per core, and the
+    grouping reuses that exchange. Left to ``groupBy``'s own exchange,
+    the task count depends on the caller: a cached result keeps all
+    ``spark.sql.shuffle.partitions`` partitions (AQE may not change a
+    cached plan's output partitioning), so each of the many small tasks
+    pays a task's fixed cost for a few blocks; uncached, AQE coalesces
+    the small shuffle into one partition, and one Python worker resolves
+    every block in turn.
     """
     profile_name = profile.name
 
@@ -118,8 +137,11 @@ def resolve_blocks_distributed(
             zip(pdf["record_id"].astype(int), pdf["entity_id"].astype(int))
         )
         llm = SimulatedLLM(truth, PROFILES[profile_name], seed=seed)
+        recs = make_records(
+            pdf["record_id"], pdf["text"], embed_texts(pdf["text"])
+        )
         res = resolve_block(
-            _records(pdf), llm, s_s=s_s, s_d=s_d, use_mdg=use_mdg,
+            recs, llm, s_s=s_s, s_d=s_d, use_mdg=use_mdg,
             seed=seed + block_id,
         )
         led = llm.ledger
@@ -137,8 +159,11 @@ def resolve_blocks_distributed(
             }
         )
 
-    return blocked.groupBy("block_id").applyInPandas(
-        _resolve, schema=_RESULT_SCHEMA
+    n_tasks = blocked.sparkSession.sparkContext.defaultParallelism
+    return (
+        blocked.repartition(n_tasks, "block_id")
+        .groupBy("block_id")
+        .applyInPandas(_resolve, schema=_RESULT_SCHEMA)
     )
 
 

@@ -1,6 +1,7 @@
 """Integration tests for the distributed Spark pipeline."""
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.metrics import all_metrics
 from repro.core.spark_pipeline import (
@@ -44,6 +45,13 @@ class TestRecordsDf:
 
 
 class TestLshAssignBlocks:
+    def test_columns(self, spark_world):
+        """The collected rows with their block; the vectors stay behind."""
+        _, _, df, _ = spark_world
+        assert lsh_assign_blocks(df).columns == [
+            "record_id", "entity_id", "text", "block_id"
+        ]
+
     def test_every_record_blocked(self, spark_world):
         _, pdf, df, _ = spark_world
         blocked = lsh_assign_blocks(df, seed=0)
@@ -125,6 +133,59 @@ class TestDistributedResolution:
             df.unpersist()
 
 
+def _final_plan(frame) -> str:
+    """The executed physical plan; under AQE, its final plan only."""
+    plan = frame._jdf.queryExecution().executedPlan()
+    if plan.getClass().getSimpleName() == "AdaptiveSparkPlanExec":
+        plan = plan.executedPlan()
+    return plan.toString()
+
+
+class TestResolvePlan:
+    """One task per core, whatever the caller does with the result."""
+
+    def test_one_partition_per_core_cached_or_not(self, spark, spark_world):
+        _, _, df, _ = spark_world
+        n = spark.sparkContext.defaultParallelism
+        result = resolve_blocks_distributed(lsh_assign_blocks(df))
+        assert result.rdd.getNumPartitions() == n
+        cached = resolve_blocks_distributed(lsh_assign_blocks(df)).cache()
+        try:
+            cached.count()
+            assert cached.rdd.getNumPartitions() == n
+        finally:
+            cached.unpersist()
+
+    def test_one_hash_exchange_and_no_join(self, spark_world):
+        import re
+
+        _, _, df, _ = spark_world
+        result = resolve_blocks_distributed(lsh_assign_blocks(df))
+        result.collect()
+        plan = _final_plan(result)
+        exchanges = re.findall(r"^[\s+\-:]*Exchange (.*)$", plan, re.M)
+        assert len(exchanges) == 1, plan
+        assert re.match(r"hashpartitioning\(block_id#\d+L?, ", exchanges[0])
+        for join in ("SortMergeJoin", "BroadcastHashJoin", "ShuffledHashJoin"):
+            assert join not in plan, plan
+
+    def test_blocks_resolved_in_more_than_one_task(self, spark, spark_world):
+        """Uncached, AQE would coalesce groupBy's own small shuffle into
+        one partition: one Python worker resolving every block."""
+        _, _, df, _ = spark_world
+        n = spark.sparkContext.defaultParallelism
+        blocked = lsh_assign_blocks(df)
+        n_blocks = blocked.select("block_id").distinct().count()
+        if n < 2 or n_blocks < n:
+            pytest.skip(f"{n_blocks} blocks on defaultParallelism={n}")
+        rows = (
+            resolve_blocks_distributed(blocked)
+            .select(F.spark_partition_id().alias("pid"))
+            .collect()
+        )
+        assert len({r["pid"] for r in rows}) > 1
+
+
 def _canonical(assign: dict[int, int]) -> list[list[int]]:
     groups: dict[int, list[int]] = {}
     for rid, lab in assign.items():
@@ -179,3 +240,48 @@ class TestDegenerateInputs:
         assign, led = self._run(spark, pdf.iloc[:1], sp)
         assert assign == {int(pdf.record_id.iloc[0]): 0}
         assert led["n_calls"] == 0
+
+
+class TestRunPipelineJob:
+    """``jobs/run_pipeline.py`` end to end, on the test session."""
+
+    @pytest.fixture()
+    def job(self, spark, monkeypatch):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "jobs"
+        spec = importlib.util.spec_from_file_location(
+            "run_pipeline", path / "run_pipeline.py"
+        )
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+
+        class _KeepOpen:  # the job stops its session; the tests share it
+            def __getattr__(self, name):
+                return getattr(spark, name)
+
+            def stop(self):
+                pass
+
+        monkeypatch.setattr(mod, "spark_session", _KeepOpen)
+        monkeypatch.setattr(
+            "sys.argv",
+            ["run_pipeline.py", "--dataset", "cora", "--scale", "0.05"],
+        )
+        return mod
+
+    def test_prints_quality_and_ledger(self, job, capsys):
+        job.main()
+        out = capsys.readouterr().out
+        assert "quality: acc=" in out and "fp_spark=" in out
+        assert "ledger: calls=" in out
+
+    def test_fp_cross_check_mismatch_exits_non_zero(self, job, monkeypatch):
+        from repro.core import spark_metrics
+
+        monkeypatch.setattr(spark_metrics, "fp_measure_spark", lambda df: -1.0)
+        with pytest.raises(SystemExit) as exc:
+            job.main()
+        assert exc.value.code not in (0, None)
+        assert "fp_spark=-1.0" in str(exc.value.code)
