@@ -9,32 +9,32 @@ rows, less their vectors, become a new frame with a ``block_id``
 column, hash-partitioned on ``block_id`` into one partition per core,
 and each block is resolved *independently* inside ``applyInPandas``,
 which embeds the block's texts again and runs the same per-block
-Algorithm 4 as the driver path. Per-block ledgers come back as columns
-and are aggregated with Spark SQL. Spark thus distributes the embedding
-and the per-block resolution; blocking itself runs once, on the driver.
+Algorithm 4 as the driver path. Each block comes back as one row: its
+record ids, their block-local labels and the block's ledger, which Spark
+SQL sums exactly. Spark thus distributes the embedding and the per-block
+resolution; blocking itself runs once, on the driver.
 
 The distributed run gives exactly the single-process result
 (:func:`repro.experiments.harness.run_er` with ``method="llm_cer"``) on
 the same records: the blocks are ``lsh_blocks``'s list, block ``i`` is
 resolved over its records in ``record_id`` order with ``seed + i``, and
 the oracle is seeded per call from record ids, so the partition and the
-ledger's integer columns are equal; the summed ``sim_time_s`` differs
-only by float summation order. The integration tests enforce this, also
-with the input frames cached first (a different physical plan).
+ledger's integer columns are equal. Spark sums ``sim_time_s`` as a
+decimal, exactly, so its total does not depend on the partitioning; the
+driver's running float sum differs from it only in the last bits. The
+integration tests enforce this, also with the input frames cached first
+(a different physical plan).
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import (
-    ArrayType, DoubleType, FloatType, LongType, StringType, StructField,
-    StructType,
-)
+from pyspark.sql.types import ArrayType, FloatType
 
 from ..blocking.lsh import lsh_blocks
 from ..datasets.schema import DatasetSpec
-from ..llm.profiles import GPT_4O_MINI, PROFILES, LLMProfile
+from ..llm.profiles import GPT_4O_MINI
 from ..llm.simulated import SimulatedLLM
 from .records import embed_texts, make_records, serialize_frame
 
@@ -86,35 +86,23 @@ def lsh_assign_blocks(df: DataFrame, *, seed: int = 0) -> DataFrame:
     )
 
 
-_RESULT_SCHEMA = StructType(
-    [
-        StructField("record_id", LongType()),
-        StructField("block_id", LongType()),
-        StructField("label", StringType()),
-        StructField("n_calls", LongType()),
-        StructField("in_tokens", LongType()),
-        StructField("out_tokens", LongType()),
-        StructField("sim_time_s", DoubleType()),
-    ]
+_RESULT_SCHEMA = (
+    "block_id long, record_ids array<long>, labels array<long>,"
+    " n_calls long, in_tokens long, out_tokens long, sim_time_s double"
 )
 
 
 def resolve_blocks_distributed(
-    blocked: DataFrame,
-    *,
-    profile: LLMProfile = GPT_4O_MINI,
-    s_s: int = 9,
-    s_d: int = 4,
-    use_mdg: bool = True,
-    seed: int = 0,
+    blocked: DataFrame, *, seed: int = 0
 ) -> DataFrame:
-    """applyInPandas per-block Algorithm 4 → assignments + ledgers.
+    """applyInPandas per-block Algorithm 4 → one row per block.
 
     Block ``b`` is resolved over its records in ``record_id`` order
     with ``seed + b``, as the driver path resolves its ``b``-th block.
-    Output columns: record_id, block_id, ``label`` (globally unique
-    string ``block/local``) and per-block ledger totals (repeated on
-    each of the block's rows — aggregate with ``ledger_totals``).
+    Output columns: ``block_id``, ``record_ids`` and their block-local
+    ``labels`` (both in the order of the block's assignment), and the
+    block's ledger ``n_calls``, ``in_tokens``, ``out_tokens`` and
+    ``sim_time_s`` (sum them with ``ledger_totals``).
 
     The blocks are hash-partitioned on ``block_id`` into
     ``defaultParallelism`` partitions, one task per core, and the
@@ -126,7 +114,6 @@ def resolve_blocks_distributed(
     the small shuffle into one partition, and one Python worker resolves
     every block in turn.
     """
-    profile_name = profile.name
 
     def _resolve(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
         from .pipeline import resolve_block
@@ -136,26 +123,21 @@ def resolve_blocks_distributed(
         truth = dict(
             zip(pdf["record_id"].astype(int), pdf["entity_id"].astype(int))
         )
-        llm = SimulatedLLM(truth, PROFILES[profile_name], seed=seed)
+        llm = SimulatedLLM(truth, GPT_4O_MINI, seed=seed)
         recs = make_records(
             pdf["record_id"], pdf["text"], embed_texts(pdf["text"])
         )
-        res = resolve_block(
-            recs, llm, s_s=s_s, s_d=s_d, use_mdg=use_mdg,
-            seed=seed + block_id,
-        )
+        res = resolve_block(recs, llm, seed=seed + block_id)
         led = llm.ledger
         return pd.DataFrame(
             {
-                "record_id": list(res.assignment),
-                "block_id": block_id,
-                "label": [
-                    f"{block_id}/{lab}" for lab in res.assignment.values()
-                ],
-                "n_calls": led.n_calls,
-                "in_tokens": led.in_tokens,
-                "out_tokens": led.out_tokens,
-                "sim_time_s": led.sim_time_s,
+                "block_id": [block_id],
+                "record_ids": [list(res.assignment)],
+                "labels": [list(res.assignment.values())],
+                "n_calls": [led.n_calls],
+                "in_tokens": [led.in_tokens],
+                "out_tokens": [led.out_tokens],
+                "sim_time_s": [led.sim_time_s],
             }
         )
 
@@ -168,18 +150,12 @@ def resolve_blocks_distributed(
 
 
 def ledger_totals(result: DataFrame) -> dict[str, float]:
-    """Aggregate the per-block ledger columns (one value per block)."""
-    per_block = result.groupBy("block_id").agg(
-        F.first("n_calls").alias("n_calls"),
-        F.first("in_tokens").alias("in_tokens"),
-        F.first("out_tokens").alias("out_tokens"),
-        F.first("sim_time_s").alias("sim_time_s"),
-    )
-    row = per_block.agg(
+    """Sum the per-block ledgers; ``sim_time_s`` as an exact decimal."""
+    row = result.agg(
         F.sum("n_calls").alias("n_calls"),
         F.sum("in_tokens").alias("in_tokens"),
         F.sum("out_tokens").alias("out_tokens"),
-        F.sum("sim_time_s").alias("sim_time_s"),
+        F.sum(F.col("sim_time_s").cast("decimal(38,18)")).alias("sim_time_s"),
     ).collect()[0]
     return {
         "n_calls": int(row["n_calls"] or 0),
@@ -190,10 +166,11 @@ def ledger_totals(result: DataFrame) -> dict[str, float]:
 
 
 def assignment_from_result(result: DataFrame) -> dict[int, int]:
-    """Collect the distributed labels into a rid → dense-int map."""
-    rows = result.select("record_id", "label").collect()
-    remap: dict[str, int] = {}
+    """Collect the blocks' labels into a rid → dense-int map, numbering
+    each ``(block_id, label)`` pair by its first appearance."""
+    remap: dict[tuple[int, int], int] = {}
     return {
-        int(r["record_id"]): remap.setdefault(r["label"], len(remap))
-        for r in rows
+        int(rid): remap.setdefault((r["block_id"], lab), len(remap))
+        for r in result.select("block_id", "record_ids", "labels").collect()
+        for rid, lab in zip(r["record_ids"], r["labels"])
     }

@@ -50,7 +50,6 @@ class RunResult:
     time_min: float
     level_counts: list[int] = field(default_factory=list)
     assignment: dict[int, int] = field(default_factory=dict, repr=False)
-    truth: dict[int, int] = field(default_factory=dict, repr=False)
 
 
 def prepare(
@@ -76,7 +75,6 @@ def run_er(
     merge_strategy: str = "similarity",
     batch_size: int = 0,
     few_shot: int = 0,
-    few_shot_hard: bool = False,
     ft_frac: float = 0.0,
     seed: int = 0,
 ) -> RunResult:
@@ -91,13 +89,7 @@ def run_er(
     recs, truth = prepared
 
     blocks = BLOCKERS[blocking](recs)
-    llm = SimulatedLLM(
-        truth,
-        profile,
-        seed=seed,
-        few_shot=few_shot,
-        few_shot_hard=few_shot_hard,
-    )
+    llm = SimulatedLLM(truth, profile, seed=seed, few_shot=few_shot)
 
     assignment: dict[int, int] = {}
     next_label = 0
@@ -157,5 +149,4 @@ def run_er(
         time_min=snap["sim_time_s"] / 60.0,
         level_counts=level_counts,
         assignment=assignment,
-        truth=truth,
     )

@@ -365,8 +365,8 @@ def table17(runs: Runs) -> pd.DataFrame:
     """Few-shot learning ± MDG (appendix Table 17)."""
     configs = {
         "zero": {"few_shot": 0, "use_mdg": True},
-        "few_wo_mdg": {"few_shot": 4, "few_shot_hard": True, "use_mdg": False},
-        "few_w_mdg": {"few_shot": 4, "few_shot_hard": True, "use_mdg": True},
+        "few_wo_mdg": {"few_shot": 4, "use_mdg": False},
+        "few_w_mdg": {"few_shot": 4, "use_mdg": True},
     }
     rows = []
     for name in ("wa", "citeseer"):

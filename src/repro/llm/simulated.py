@@ -74,13 +74,11 @@ class SimulatedLLM:
         *,
         seed: int = 0,
         few_shot: int = 0,
-        few_shot_hard: bool = False,
     ):
         self.truth = truth
         self.profile = profile
         self.seed = seed
         self.few_shot = few_shot
-        self.few_shot_hard = few_shot_hard
         self.ledger = Ledger(profile)
 
     # ------------------------------------------------------------------ util
@@ -99,13 +97,12 @@ class SimulatedLLM:
         """Multiplier (<1 helps) on error probs from few-shot demos.
 
         Gains saturate around 4–6 examples and degrade slightly beyond
-        (Appendix A.7, Figure 10); hard examples help more.
+        (Appendix A.7, Figure 10). The demos are hard examples, which help
+        more than random ones: the gain carries a 1.2 factor.
         """
         if self.few_shot <= 0:
             return 1.0
-        gain = self.profile.few_shot_gain * min(self.few_shot, 6) / 6.0
-        if self.few_shot_hard:
-            gain *= 1.2
+        gain = self.profile.few_shot_gain * min(self.few_shot, 6) / 6.0 * 1.2
         overload = max(0, self.few_shot - 6) * 0.03
         return float(np.clip(1.0 - gain + overload, 0.3, 1.2))
 

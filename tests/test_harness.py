@@ -27,7 +27,7 @@ class TestRunEr:
         assert 0.0 <= r.acc <= 1.0 and 0.0 <= r.fp <= 1.0
         assert r.n_calls > 0
         assert r.cost_usd >= 0 and r.tokens_m > 0
-        assert set(r.assignment) == set(r.truth)
+        assert set(r.assignment) == set(prepared[1])
 
     @pytest.mark.parametrize("method", ["ditto", "deepmatcher"])
     def test_plm_methods_no_llm_calls(self, method, prepared_cora):
@@ -73,8 +73,8 @@ class TestRunEr:
     def test_pair_confusion_totals(self, prepared_cora):
         sp, prepared = prepared_cora
         r = run_er(sp, "llm_cer", seed=0, prepared=prepared)
-        pc = pair_confusion(r.assignment, r.truth)
-        n = len(r.truth)
+        pc = pair_confusion(r.assignment, prepared[1])
+        n = len(prepared[1])
         assert sum(pc.values()) == n * (n - 1) // 2
 
     def test_prepare_scales(self):

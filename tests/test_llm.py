@@ -277,12 +277,6 @@ class TestFewShot:
         assert f4 < f0
         assert f10 > SimulatedLLM(truth, few_shot=6)._few_shot_factor()
 
-    def test_hard_examples_help_more(self, easy_world):
-        _, truth = easy_world
-        soft = SimulatedLLM(truth, few_shot=4)._few_shot_factor()
-        hard = SimulatedLLM(truth, few_shot=4, few_shot_hard=True)
-        assert hard._few_shot_factor() < soft
-
     def test_few_shot_token_cost(self, easy_world):
         recs, truth = easy_world
         a = SimulatedLLM(truth, GPT_4O_MINI, few_shot=0)

@@ -89,10 +89,30 @@ class TestLshAssignBlocks:
 
 class TestDistributedResolution:
     @pytest.fixture(scope="class")
-    def result(self, spark_world):
+    def blocked(self, spark_world):
         _, _, df, _ = spark_world
-        blocked = lsh_assign_blocks(df, seed=0)
+        return lsh_assign_blocks(df, seed=0)
+
+    @pytest.fixture(scope="class")
+    def result(self, blocked):
         return resolve_blocks_distributed(blocked, seed=0).cache()
+
+    def test_one_row_per_block(self, blocked, result):
+        assert result.count() == blocked.select("block_id").distinct().count()
+
+    def test_record_ids_hold_each_blocked_record_once(self, blocked, result):
+        rows = result.select("record_ids", "labels").collect()
+        rids = [rid for r in rows for rid in r["record_ids"]]
+        assert sorted(rids) == sorted(
+            int(r["record_id"]) for r in blocked.select("record_id").collect()
+        )
+        assert all(len(r["record_ids"]) == len(r["labels"]) for r in rows)
+
+    def test_ledger_totals_exact_under_repartitioning(self, result):
+        """The decimal sum is exact: the order of the blocks is moot."""
+        one = ledger_totals(result.repartition(1))
+        five = ledger_totals(result.repartition(5))
+        assert one == five
 
     def test_assignment_covers_all(self, spark_world, result):
         _, pdf, _, _ = spark_world
