@@ -51,41 +51,29 @@ def build_hits(
     records, and mark every in-HIT pair covered. Records may appear in
     several HITs — the overlap CrowdER relies on for merging.
     """
-    uncovered: set[tuple[int, int]] = set(pairs)
-    adj: dict[int, set[int]] = {}
+    # uncov[x]: the records x shares a still-uncovered pair with; a
+    # record's degree is the size of its set, which cannot change while
+    # a HIT grows (pairs are covered only once the HIT is built)
+    uncov: dict[int, set[int]] = {}
     for i, k in pairs:
-        adj.setdefault(i, set()).add(k)
-        adj.setdefault(k, set()).add(i)
+        uncov.setdefault(i, set()).add(k)
+        uncov.setdefault(k, set()).add(i)
+
+    def _rank(x: int) -> tuple[int, int]:
+        return len(uncov[x]), -x
+
     hits: list[list[int]] = []
-    while uncovered:
-        deg: dict[int, int] = {}
-        for i, k in uncovered:
-            deg[i] = deg.get(i, 0) + 1
-            deg[k] = deg.get(k, 0) + 1
-        seed = max(deg, key=lambda x: (deg[x], -x))
-        hit = [seed]
-        members = {seed}
-        while len(hit) < s_s:
-            # neighbour (via an uncovered pair) of any member, max degree
-            cands = {
-                nb
-                for m in members
-                for nb in adj.get(m, ())
-                if nb not in members
-                and any(
-                    (min(m2, nb), max(m2, nb)) in uncovered for m2 in members
-                )
-            }
-            if not cands:
-                break
-            nxt = max(cands, key=lambda x: (deg.get(x, 0), -x))
+    while live := [x for x, nbs in uncov.items() if nbs]:
+        hit = [max(live, key=_rank)]
+        # neighbours of any member via an uncovered pair
+        cands = set(uncov[hit[0]])
+        while len(hit) < s_s and cands:
+            nxt = max(cands, key=_rank)
             hit.append(nxt)
-            members.add(nxt)
-        for a_i in range(len(hit)):
-            for b_i in range(a_i + 1, len(hit)):
-                uncovered.discard(
-                    (min(hit[a_i], hit[b_i]), max(hit[a_i], hit[b_i]))
-                )
+            cands |= uncov[nxt]
+            cands.difference_update(hit)
+        for x in hit:
+            uncov[x].difference_update(hit)
         hits.append(hit)
     return hits
 

@@ -15,6 +15,8 @@ bounded; every blocker shares that cap.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from ..core.nrs import kmeans
@@ -50,7 +52,7 @@ def band_signatures(
 
 
 def blocks_from_edges(
-    records: list[Record], edges: "list[tuple[int, int]]"
+    records: list[Record], edges: Iterable[tuple[int, int]]
 ) -> list[list[Record]]:
     """Connected components over positional edges → blocks."""
     uf = UnionFind(range(len(records)))
@@ -100,24 +102,29 @@ def lsh_blocks(records: list[Record], *, seed: int = 0) -> list[list[Record]]:
     """Full LSH blocking: band buckets → components → purify → split."""
     if not records:
         return []
+    n = len(records)
     vecs = np.stack([r.vec for r in records])
     sigs = band_signatures(vecs, seed=seed)
-    edges: list[tuple[int, int]] = []
+    edge_keys: list[np.ndarray] = []  # verified edge (a, b), a < b: a * n + b
     for b in range(N_BANDS):
-        buckets: dict[int, list[int]] = {}
-        for i in range(len(records)):
-            buckets.setdefault(int(sigs[i, b]), []).append(i)
-        for members in buckets.values():
-            if len(members) < 2:
-                continue
+        # a stable sort keeps each bucket's members in ascending order
+        order = np.argsort(sigs[:, b], kind="stable")
+        col = sigs[order, b]
+        starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+        sizes = np.diff(np.r_[starts, n])
+        shared = sizes >= 2
+        for lo, size in zip(starts[shared].tolist(), sizes[shared].tolist()):
+            members = order[lo : lo + size]
             # verify candidate pairs against b_t before linking — the
             # stochastic hash co-locates dissimilar records, and
             # unverified links percolate buckets into giant components
             sub = cosine_matrix(vecs[members])
             ii, kk = np.where(np.triu(sub, 1) >= B_T)
-            edges.extend(
-                (members[int(a)], members[int(c)]) for a, c in zip(ii, kk)
-            )
+            edge_keys.append(members[ii] * n + members[kk])
+    # the edges' order cannot change the blocks: the smaller root
+    # survives each union, and blocks are sorted by their smallest rid
+    keys = np.unique(np.concatenate(edge_keys or [np.zeros(0, np.int64)]))
+    edges = zip((keys // n).tolist(), (keys % n).tolist())
     blocks: list[list[Record]] = []
     for blk in blocks_from_edges(records, edges):
         for part in split_oversized(blk, MAX_BLOCK_SIZE, seed):

@@ -88,8 +88,17 @@ def build_round_sets(
         g.shuffle(order)
         unassigned = order
 
+    # representatives are records, and a record's vector never changes,
+    # so each pair's cosine is computed once per call (``cosine`` is
+    # symmetric: its dot product and norm product commute exactly)
+    sims: dict[tuple[int, int], float] = {}
+
     def _sim(a: Item, b: Item) -> float:
-        return cosine(a.rep.vec, b.rep.vec)
+        ra, rb = a.rep, b.rep
+        key = (ra.rid, rb.rid) if ra.rid < rb.rid else (rb.rid, ra.rid)
+        if key not in sims:
+            sims[key] = cosine(ra.vec, rb.vec)
+        return sims[key]
 
     def _has_partner(it: Item, pool: list[Item]) -> bool:
         return any(

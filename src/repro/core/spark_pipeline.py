@@ -27,6 +27,9 @@ integration tests enforce this, also with the input frames cached first
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -36,7 +39,7 @@ from ..blocking.lsh import lsh_blocks
 from ..datasets.schema import DatasetSpec
 from ..llm.profiles import GPT_4O_MINI
 from ..llm.simulated import SimulatedLLM
-from .records import embed_texts, make_records, serialize_frame
+from .records import Record, embed_texts, make_records, serialize_frame
 
 
 @F.pandas_udf(ArrayType(FloatType()))
@@ -57,6 +60,18 @@ def records_df(
     return df.withColumn("vec", _embed(F.col("text")))
 
 
+def _blocking_records(
+    rids: Iterable[int], vecs: Iterable[np.ndarray]
+) -> list[Record]:
+    """Records for ``lsh_blocks``, which reads only ``rid`` and ``vec``:
+    no text and no token set (``make_records`` would build one per
+    record that blocking never reads)."""
+    return [
+        Record(int(rid), "", np.asarray(vec, dtype=np.float32), frozenset())
+        for rid, vec in zip(rids, vecs)
+    ]
+
+
 def lsh_assign_blocks(df: DataFrame, *, seed: int = 0) -> DataFrame:
     """``records_df``'s frame → its rows with their block in ``lsh_blocks``.
 
@@ -74,12 +89,12 @@ def lsh_assign_blocks(df: DataFrame, *, seed: int = 0) -> DataFrame:
     """
     pdf = df.select("record_id", "entity_id", "text", "vec").toPandas()
     pdf = pdf.sort_values("record_id", ignore_index=True)
-    recs = make_records(pdf["record_id"], pdf["text"], pdf.pop("vec"))
+    recs = _blocking_records(pdf["record_id"], pdf.pop("vec"))
     block_of = {
         r.rid: bi for bi, blk in enumerate(lsh_blocks(recs, seed=seed))
         for r in blk
     }
-    del recs  # vectors and token sets go before the frame is copied out
+    del recs  # the vectors go before the frame is copied out
     pdf["block_id"] = pdf["record_id"].map(block_of).astype("int64")
     return df.sparkSession.createDataFrame(
         pdf, "record_id long, entity_id long, text string, block_id long"

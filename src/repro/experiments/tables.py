@@ -19,7 +19,6 @@ import pandas as pd
 
 from ..core.records import Record
 from ..datasets import registry
-from ..datasets.generator import generate
 from ..datasets.registry import DISPLAY, SPECS
 from ..datasets.schema import DatasetSpec
 from ..llm.profiles import GPT_4O_MINI, LLAMA_3_2_1B, LLMProfile
@@ -131,13 +130,13 @@ def table1(runs: Runs) -> pd.DataFrame:
     rows = []
     for name in SPECS:
         s = runs.spec(name)
-        pdf = generate(s)
-        n_ent = int(pdf["entity_id"].nunique())
+        recs, truth = runs.prepared(s)
+        n_ent = len(set(truth.values()))
         rows.append({
             "dataset": DISPLAY[name],
-            "records": len(pdf),
+            "records": len(recs),
             "entities": n_ent,
-            "dispersion": round(len(pdf) / n_ent, 1),
+            "dispersion": round(len(recs) / n_ent, 1),
             "attrs": len(s.attrs),
             "types": "".join(sorted(a.kind for a in s.attrs)),
             "paper_records": P.TABLE1[name]["rec"],

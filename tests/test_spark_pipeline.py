@@ -69,6 +69,25 @@ class TestLshAssignBlocks:
         rows = lsh_assign_blocks(df).select("record_id", "block_id").collect()
         assert {int(r["record_id"]): int(r["block_id"]) for r in rows} == want
 
+    def test_blocking_records_block_as_full_records(self, cora_small):
+        """The token-free records ``lsh_assign_blocks`` blocks give the
+        blocks of ``make_records``' full records."""
+        from repro.blocking.lsh import lsh_blocks
+        from repro.core.records import make_records
+        from repro.core.spark_pipeline import _blocking_records
+
+        _, _, recs, _ = cora_small
+        rids, vecs = [r.rid for r in recs], [r.vec for r in recs]
+        light = _blocking_records(rids, vecs)
+        assert not any(r.tokens for r in light)
+        full = make_records(rids, [r.text for r in recs], vecs)
+        for seed in (0, 1):
+            got, want = (
+                [[r.rid for r in b] for b in lsh_blocks(rs, seed=seed)]
+                for rs in (light, full)
+            )
+            assert got == want
+
     def test_blocks_group_duplicates(self, spark_world):
         _, _, df, truth = spark_world
         blocked = lsh_assign_blocks(df, seed=0)
