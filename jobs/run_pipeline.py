@@ -51,7 +51,9 @@ def main() -> None:
     adf = spark.createDataFrame(rows, ["record_id", "pred", "truth"])
     fp_spark = fp_measure_spark(adf)
 
-    cost = Ledger(GPT_4O_MINI, **led).cost_usd
+    cost = Ledger(
+        GPT_4O_MINI, led["n_calls"], led["in_tokens"], led["out_tokens"]
+    ).cost_usd
     print(f"dataset={args.dataset} scale={args.scale} records={len(pdf)}")
     print(
         "  quality: "

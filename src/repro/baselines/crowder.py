@@ -39,11 +39,7 @@ def uncertain_pairs(
     ]
 
 
-def build_hits(
-    block: list[Record],
-    pairs: list[tuple[int, int]],
-    s_s: int = 9,
-) -> list[list[int]]:
+def build_hits(pairs: list[tuple[int, int]], s_s: int = 9) -> list[list[int]]:
     """Greedy set-cover HIT generation (CrowdER's cluster-based HITs).
 
     Repeatedly seed a HIT with the record incident to the most
@@ -92,7 +88,7 @@ def crowder_er_block(
     state = TransitiveState(n)
     if pairs:
         pos = {r.rid: i for i, r in enumerate(block)}
-        for hit in build_hits(block, pairs, s_s):
+        for hit in build_hits(pairs, s_s):
             clusters = llm.cluster_records([block[i] for i in hit])
             for cluster in clusters:
                 ids = [pos[r.rid] for r in cluster if r.rid in pos]

@@ -6,8 +6,8 @@ closest to the cluster's mean embedding (Alg. 3, lines 1–3). CMR packs
 items into the next round's record sets so that
 
 * items already known to be different entities (anti-transitivity:
-  they came out of the same record set un-merged, or from the same
-  origin set) are not wastefully re-packed together,
+  they came out of the same record set un-merged) are not wastefully
+  re-packed together,
 * each set chains most-similar items consecutively (lines 7–12), and
 * set size stays within ``Ss``.
 
@@ -31,7 +31,6 @@ class Item:
 
     iid: int
     members: list[Record]
-    origin: int  # id of the record set this cluster came out of
     anti: set[int] = field(default_factory=set)  # known-different item ids
     rep: Record = field(init=False)
 
@@ -197,9 +196,7 @@ def apply_merge_result(
         for it in groups[root]:
             old_to_new[it.iid] = iid_new
         merged = Item(
-            iid=iid_new,
-            members=[r for it in groups[root] for r in it.members],
-            origin=-1,
+            iid=iid_new, members=[r for it in groups[root] for r in it.members]
         )
         merged.anti = {a for it in groups[root] for a in it.anti}
         new_items.append(merged)

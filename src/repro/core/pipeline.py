@@ -8,17 +8,19 @@ One block (from :mod:`repro.blocking`) is resolved fully locally:
   from the same record set are marked mutually anti (anti-transitive).
 * **Levels 1+** — CMR (Alg. 3) packs items into new record sets, the
   LLM clusters their representative records, merges are applied, and
-  un-merged co-packed items gain anti edges. Rounds continue until a
-  round merges nothing (the paper's exit condition: a round whose
-  outputs are all singletons doubles as the batched "final check"), or
-  until no pair of items with an unknown relation remains.
+  un-merged co-packed items gain anti edges. A round is the last one
+  when its merges number fewer than one in ten of its record sets
+  (``n_merges * 10 < len(round_sets)``; the paper's exit condition: a
+  round whose outputs are almost all singletons doubles as the batched
+  "final check"). Rounds also end when CMR finds no similar pair of
+  items with an unknown relation left to pack, or after ``_MAX_ROUNDS``.
 
 The per-level record-set counts are recorded for Table 3.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-
 from typing import TYPE_CHECKING
 
 from .cmr import Item, apply_merge_result, build_round_sets
@@ -70,10 +72,10 @@ def resolve_block(
     items: list[Item] = []
     next_iid = 0
     clusterings = _cluster_sets(llm, rsets, use_mdg, batch_size)
-    for set_id, clusters in enumerate(clusterings):
+    for clusters in clusterings:
         born = []
         for c in clusters:
-            items.append(Item(iid=next_iid, members=list(c), origin=set_id))
+            items.append(Item(iid=next_iid, members=list(c)))
             born.append(next_iid)
             next_iid += 1
         for i in range(len(born)):  # same-set clusters are anti (different)
@@ -105,6 +107,20 @@ def resolve_block(
         r.rid: lab for lab, it in enumerate(items) for r in it.members
     }
     return BlockResult(assignment=assignment, level_set_counts=level_counts)
+
+
+def number_labels(
+    blocks: Iterable[Iterable[tuple[int, int]]],
+) -> dict[int, int]:
+    """rid → dense global label from each block's ``(rid, local label)``
+    pairs, given in block order: each ``(block, local label)`` is
+    numbered by its first appearance."""
+    numbers: dict[tuple[int, int], int] = {}
+    return {
+        rid: numbers.setdefault((bi, lab), len(numbers))
+        for bi, pairs in enumerate(blocks)
+        for rid, lab in pairs
+    }
 
 
 def _cluster_sets(

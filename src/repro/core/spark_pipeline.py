@@ -10,20 +10,20 @@ column, hash-partitioned on ``block_id`` into one partition per core,
 and each block is resolved *independently* inside ``applyInPandas``,
 which embeds the block's texts again and runs the same per-block
 Algorithm 4 as the driver path. Each block comes back as one row: its
-record ids, their block-local labels and the block's ledger, which Spark
-SQL sums exactly. Spark thus distributes the embedding and the per-block
-resolution; blocking itself runs once, on the driver.
+record ids, their block-local labels and the block's ledger counts,
+which Spark SQL sums. Spark thus distributes the embedding and the
+per-block resolution; blocking itself runs once, on the driver.
 
 The distributed run gives exactly the single-process result
 (:func:`repro.experiments.harness.run_er` with ``method="llm_cer"``) on
 the same records: the blocks are ``lsh_blocks``'s list, block ``i`` is
 resolved over its records in ``record_id`` order with ``seed + i``, and
-the oracle is seeded per call from record ids, so the partition and the
-ledger's integer columns are equal. Spark sums ``sim_time_s`` as a
-decimal, exactly, so its total does not depend on the partitioning; the
-driver's running float sum differs from it only in the last bits. The
-integration tests enforce this, also with the input frames cached first
-(a different physical plan).
+the oracle is seeded per call from record ids, so each block's labels
+and ledger counts are equal; both paths number the labels with
+:func:`repro.core.pipeline.number_labels` in block order and derive
+cost and time from the summed counts. The integration tests enforce
+this, also with the input frames cached first (a different physical
+plan).
 """
 from __future__ import annotations
 
@@ -37,8 +37,10 @@ from pyspark.sql.types import ArrayType, FloatType
 
 from ..blocking.lsh import lsh_blocks
 from ..datasets.schema import DatasetSpec
+from ..llm.accounting import Ledger
 from ..llm.profiles import GPT_4O_MINI
 from ..llm.simulated import SimulatedLLM
+from .pipeline import number_labels, resolve_block
 from .records import Record, embed_texts, make_records, serialize_frame
 
 
@@ -103,7 +105,7 @@ def lsh_assign_blocks(df: DataFrame, *, seed: int = 0) -> DataFrame:
 
 _RESULT_SCHEMA = (
     "block_id long, record_ids array<long>, labels array<long>,"
-    " n_calls long, in_tokens long, out_tokens long, sim_time_s double"
+    " n_calls long, in_tokens long, out_tokens long"
 )
 
 
@@ -116,8 +118,8 @@ def resolve_blocks_distributed(
     with ``seed + b``, as the driver path resolves its ``b``-th block.
     Output columns: ``block_id``, ``record_ids`` and their block-local
     ``labels`` (both in the order of the block's assignment), and the
-    block's ledger ``n_calls``, ``in_tokens``, ``out_tokens`` and
-    ``sim_time_s`` (sum them with ``ledger_totals``).
+    block's ledger ``n_calls``, ``in_tokens`` and ``out_tokens`` (sum
+    them with ``ledger_totals``).
 
     The blocks are hash-partitioned on ``block_id`` into
     ``defaultParallelism`` partitions, one task per core, and the
@@ -131,8 +133,6 @@ def resolve_blocks_distributed(
     """
 
     def _resolve(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-        from .pipeline import resolve_block
-
         block_id = int(key[0])
         pdf = pdf.sort_values("record_id")
         truth = dict(
@@ -152,7 +152,6 @@ def resolve_blocks_distributed(
                 "n_calls": [led.n_calls],
                 "in_tokens": [led.in_tokens],
                 "out_tokens": [led.out_tokens],
-                "sim_time_s": [led.sim_time_s],
             }
         )
 
@@ -165,27 +164,18 @@ def resolve_blocks_distributed(
 
 
 def ledger_totals(result: DataFrame) -> dict[str, float]:
-    """Sum the per-block ledgers; ``sim_time_s`` as an exact decimal."""
-    row = result.agg(
-        F.sum("n_calls").alias("n_calls"),
-        F.sum("in_tokens").alias("in_tokens"),
-        F.sum("out_tokens").alias("out_tokens"),
-        F.sum(F.col("sim_time_s").cast("decimal(38,18)")).alias("sim_time_s"),
-    ).collect()[0]
-    return {
-        "n_calls": int(row["n_calls"] or 0),
-        "in_tokens": int(row["in_tokens"] or 0),
-        "out_tokens": int(row["out_tokens"] or 0),
-        "sim_time_s": float(row["sim_time_s"] or 0.0),
-    }
+    """Sum the per-block ledger counts; ``sim_time_s`` is derived from
+    the sums, as ``Ledger`` derives it."""
+    counts = ("n_calls", "in_tokens", "out_tokens")
+    row = result.agg(*(F.sum(c).alias(c) for c in counts)).collect()[0]
+    led = {c: int(row[c] or 0) for c in counts}
+    return {**led, "sim_time_s": Ledger(GPT_4O_MINI, **led).sim_time_s}
 
 
 def assignment_from_result(result: DataFrame) -> dict[int, int]:
-    """Collect the blocks' labels into a rid → dense-int map, numbering
-    each ``(block_id, label)`` pair by its first appearance."""
-    remap: dict[tuple[int, int], int] = {}
-    return {
-        int(rid): remap.setdefault((r["block_id"], lab), len(remap))
-        for r in result.select("block_id", "record_ids", "labels").collect()
-        for rid, lab in zip(r["record_ids"], r["labels"])
-    }
+    """Collect the blocks' labels into a rid → dense-int map, numbered
+    by :func:`repro.core.pipeline.number_labels` in ``block_id`` order
+    (sorted on the driver: an ``orderBy`` would add a sort stage)."""
+    rows = result.select("block_id", "record_ids", "labels").collect()
+    rows.sort(key=lambda r: r["block_id"])
+    return number_labels(zip(r["record_ids"], r["labels"]) for r in rows)

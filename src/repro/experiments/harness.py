@@ -22,7 +22,7 @@ from ..baselines.pairwise import pairwise_er_block
 from ..baselines.plm import DEEPMATCHER, DITTO, plm_cost_usd, plm_er_block
 from ..blocking import BLOCKERS
 from ..core.metrics import all_metrics
-from ..core.pipeline import resolve_block
+from ..core.pipeline import number_labels, resolve_block
 from ..core.records import Record, build_records
 from ..datasets.generator import generate
 from ..datasets.schema import DatasetSpec
@@ -91,8 +91,7 @@ def run_er(
     blocks = BLOCKERS[blocking](recs)
     llm = SimulatedLLM(truth, profile, seed=seed, few_shot=few_shot)
 
-    assignment: dict[int, int] = {}
-    next_label = 0
+    block_labels: list[dict[int, int]] = []
     level_counts: list[int] = []
     for bi, block in enumerate(blocks):
         if method == "llm_cer":
@@ -122,13 +121,9 @@ def run_er(
         else:  # ditto / deepmatcher
             model = DITTO if method == "ditto" else DEEPMATCHER
             local = plm_er_block(block, model, ft_frac, seed=seed + bi)
-        remap: dict[int, int] = {}
-        for rid, lab in local.items():
-            if lab not in remap:
-                remap[lab] = next_label
-                next_label += 1
-            assignment[rid] = remap[lab]
+        block_labels.append(local)
 
+    assignment = number_labels(local.items() for local in block_labels)
     quality = all_metrics(assignment, truth)
     snap = llm.ledger.snapshot()
     cost = snap["cost_usd"]

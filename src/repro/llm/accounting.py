@@ -3,8 +3,10 @@
 The paper reports four resource columns per experiment: # API calls,
 tokens (M), monetary cost (USD) and wall-clock time. Time here is
 *simulated* API latency (the paper's time is dominated by it), derived
-from the profile's latency constants, so all four columns are pure
-functions of the calls the pipeline actually makes.
+from the profile's latency constants. A ledger stores only its three
+integer counts; cost and time are derived from them, so all four
+columns are pure functions of the calls the pipeline actually makes,
+and ledgers of disjoint call sequences add field by field.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ class Ledger:
     n_calls: int = 0
     in_tokens: int = 0
     out_tokens: int = 0
-    sim_time_s: float = 0.0
 
     def add_call(self, in_tokens: int, out_tokens: int) -> None:
         if in_tokens < 0 or out_tokens < 0:
@@ -29,12 +30,6 @@ class Ledger:
         self.n_calls += 1
         self.in_tokens += in_tokens
         self.out_tokens += out_tokens
-        p = self.profile
-        self.sim_time_s += (
-            p.latency_base_s
-            + in_tokens * p.latency_per_in_tok_s
-            + out_tokens * p.latency_per_out_tok_s
-        )
 
     @property
     def tokens(self) -> int:
@@ -47,6 +42,15 @@ class Ledger:
             self.in_tokens * p.input_price_per_m
             + self.out_tokens * p.output_price_per_m
         ) / 1e6
+
+    @property
+    def sim_time_s(self) -> float:
+        p = self.profile
+        return (
+            self.n_calls * p.latency_base_s
+            + self.in_tokens * p.latency_per_in_tok_s
+            + self.out_tokens * p.latency_per_out_tok_s
+        )
 
     def snapshot(self) -> dict[str, float]:
         return {

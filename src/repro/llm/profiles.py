@@ -105,5 +105,3 @@ LLAMA_3_2_1B = LLMProfile(
     latency_per_in_tok_s=0.0006,
     latency_per_out_tok_s=0.012,
 )
-
-PROFILES = {p.name: p for p in (GPT_4O_MINI, LLAMA_3_2_1B)}

@@ -162,7 +162,7 @@ class TestCrowdER:
     def test_hits_cover_all_uncertain_pairs(self, easy_block):
         recs, _ = easy_block
         pairs = uncertain_pairs(recs, threshold=0.25)
-        hits = build_hits(recs, pairs, s_s=5)
+        hits = build_hits(pairs, s_s=5)
         covered = set()
         for hit in hits:
             for a, b in itertools.combinations(sorted(hit), 2):
@@ -172,12 +172,12 @@ class TestCrowdER:
     def test_hits_respect_set_size(self, easy_block):
         recs, _ = easy_block
         pairs = uncertain_pairs(recs, threshold=0.25)
-        assert all(len(h) <= 4 for h in build_hits(recs, pairs, s_s=4))
+        assert all(len(h) <= 4 for h in build_hits(pairs, s_s=4))
 
     def test_overlap_allowed(self, easy_block):
         recs, _ = easy_block
         pairs = uncertain_pairs(recs, threshold=0.2)
-        hits = build_hits(recs, pairs, s_s=3)
+        hits = build_hits(pairs, s_s=3)
         flat = [i for h in hits for i in h]
         assert len(flat) >= len(set(flat))  # duplicates possible
 

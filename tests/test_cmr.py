@@ -12,10 +12,9 @@ def _rec(rid, text):
     return Record(rid=rid, text=text, vec=embed_text(text), tokens=tokens(text))
 
 
-def _item(iid, texts, origin=0):
+def _item(iid, texts):
     return Item(
-        iid=iid, members=[_rec(iid * 10 + i, t) for i, t in enumerate(texts)],
-        origin=origin,
+        iid=iid, members=[_rec(iid * 10 + i, t) for i, t in enumerate(texts)]
     )
 
 
@@ -37,7 +36,7 @@ class TestRepresentative:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            Item(iid=0, members=[], origin=0)
+            Item(iid=0, members=[])
 
 
 class TestCompatible:
@@ -52,17 +51,11 @@ class TestCompatible:
 
 
 class TestBuildRoundSets:
-    def _similar_items(self, n, origin_split=True):
-        items = []
-        for i in range(n):
-            items.append(
-                Item(
-                    iid=i,
-                    members=[_rec(i, f"shared topic words item{i}")],
-                    origin=i % 2 if origin_split else 0,
-                )
-            )
-        return items
+    def _similar_items(self, n):
+        return [
+            Item(iid=i, members=[_rec(i, f"shared topic words item{i}")])
+            for i in range(n)
+        ]
 
     def test_respects_set_size(self):
         items = self._similar_items(12)
@@ -88,13 +81,13 @@ class TestBuildRoundSets:
 
     def test_dissimilar_items_not_packed(self):
         # two items far below the merge floor never form a set
-        a = Item(iid=0, members=[_rec(0, "aa bb cc dd")], origin=0)
-        b = Item(iid=1, members=[_rec(1, "zz yy xx wv")], origin=1)
+        a = Item(iid=0, members=[_rec(0, "aa bb cc dd")])
+        b = Item(iid=1, members=[_rec(1, "zz yy xx wv")])
         assert build_round_sets([a, b], s_s=4) == []
 
     def test_random_strategy_ignores_floor(self):
-        a = Item(iid=0, members=[_rec(0, "aa bb cc dd")], origin=0)
-        b = Item(iid=1, members=[_rec(1, "zz yy xx wv")], origin=1)
+        a = Item(iid=0, members=[_rec(0, "aa bb cc dd")])
+        b = Item(iid=1, members=[_rec(1, "zz yy xx wv")])
         sets = build_round_sets([a, b], s_s=4, strategy="random", seed=1)
         assert len(sets) == 1
 
@@ -106,7 +99,7 @@ class TestBuildRoundSets:
         groups = ["apple fruit pie", "apple fruit tart",
                   "rocket engine fuel", "rocket engine nozzle"]
         items = [
-            Item(iid=i, members=[_rec(i, t)], origin=i) for i, t in enumerate(groups)
+            Item(iid=i, members=[_rec(i, t)]) for i, t in enumerate(groups)
         ]
         sets = build_round_sets(items, s_s=4, seed=0)
         flat = [it.iid for s in sets for it in s]
@@ -117,9 +110,9 @@ class TestBuildRoundSets:
 
 class TestApplyMergeResult:
     def _round(self):
-        a = _item(0, ["apple fruit one"], origin=0)
-        b = _item(1, ["apple fruit two"], origin=1)
-        c = _item(2, ["rocket fuel one"], origin=0)
+        a = _item(0, ["apple fruit one"])
+        b = _item(1, ["apple fruit two"])
+        c = _item(2, ["rocket fuel one"])
         return [a, b, c]
 
     def test_merge_unions_members(self):

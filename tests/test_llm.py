@@ -5,7 +5,7 @@ import pytest
 from repro.core.records import Record
 from repro.embed.hashing import embed_text, tokens
 from repro.llm.accounting import Ledger
-from repro.llm.profiles import GPT_4O_MINI, LLAMA_3_2_1B, PROFILES
+from repro.llm.profiles import GPT_4O_MINI, LLAMA_3_2_1B
 from repro.llm.simulated import SimulatedLLM, pair_ambiguity
 
 
@@ -30,10 +30,6 @@ def easy_world():
 
 
 class TestProfiles:
-    def test_registry(self):
-        assert PROFILES["gpt-4o-mini"] is GPT_4O_MINI
-        assert PROFILES["llama-3.2-1b"] is LLAMA_3_2_1B
-
     def test_capacity_ordering(self):
         # the stronger model handles bigger sets (appendix Table 9)
         assert GPT_4O_MINI.capacity > LLAMA_3_2_1B.capacity
@@ -64,7 +60,36 @@ class TestLedger:
 
     def test_snapshot_keys(self):
         snap = Ledger(GPT_4O_MINI).snapshot()
-        assert {"n_calls", "tokens", "cost_usd", "sim_time_s"} <= set(snap)
+        assert set(snap) == {
+            "n_calls", "in_tokens", "out_tokens", "tokens", "cost_usd",
+            "sim_time_s",
+        }
+
+    @pytest.mark.parametrize("profile", [GPT_4O_MINI, LLAMA_3_2_1B])
+    def test_ledgers_add_field_by_field(self, profile):
+        """A ledger fed calls A then B is the integer sum of a ledger fed
+        A and one fed B, cost and time included, bit for bit: blocks
+        resolved apart can be summed in any order."""
+        g = np.random.default_rng(0)
+        calls = g.integers(0, 5000, size=(300, 2)).tolist()
+        a, b, ab = Ledger(profile), Ledger(profile), Ledger(profile)
+        for i, call in enumerate(calls):
+            (a if i < 137 else b).add_call(*call)
+            ab.add_call(*call)
+        summed = Ledger(
+            profile,
+            a.n_calls + b.n_calls,
+            a.in_tokens + b.in_tokens,
+            a.out_tokens + b.out_tokens,
+        )
+        assert ab.snapshot() == summed.snapshot()
+        assert ab.sim_time_s == summed.sim_time_s
+        assert ab.cost_usd == summed.cost_usd
+        assert ab.sim_time_s == (
+            ab.n_calls * profile.latency_base_s
+            + ab.in_tokens * profile.latency_per_in_tok_s
+            + ab.out_tokens * profile.latency_per_out_tok_s
+        )
 
 
 class TestPairAmbiguity:

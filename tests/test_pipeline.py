@@ -133,3 +133,32 @@ class TestResolveBlock:
         res = resolve_block(recs, llm, seed=0)
         assert sorted(res.assignment) == sorted(truth)
         assert len(res.level_set_counts) == 1 + pipeline._MAX_ROUNDS
+
+    @pytest.mark.parametrize(
+        "n_sets, n_merges, last",
+        [(9, 0, True), (10, 1, False), (25, 2, True), (25, 3, False),
+         (30, 3, False), (31, 3, True)],
+    )
+    def test_exit_rule_one_merge_in_ten_sets(
+        self, block, monkeypatch, n_sets, n_merges, last
+    ):
+        """A round whose merges number fewer than one in ten of its record
+        sets is the last one; a round at or above that is followed by
+        another (here until ``_MAX_ROUNDS``)."""
+        recs, truth = block
+        rounds = []
+
+        def build(items, s_s, **kwargs):
+            return [items[:2]] * n_sets
+
+        def apply(items, round_sets, rep_clusterings, next_iid):
+            rounds.append(len(round_sets))
+            return items, n_merges, next_iid
+
+        monkeypatch.setattr(pipeline, "build_round_sets", build)
+        monkeypatch.setattr(pipeline, "apply_merge_result", apply)
+        monkeypatch.setattr(pipeline, "_MAX_ROUNDS", 3)
+        llm = SimulatedLLM(truth, GPT_4O_MINI, seed=0)
+        res = resolve_block(recs, llm, seed=0)
+        assert rounds == [n_sets] * (1 if last else pipeline._MAX_ROUNDS)
+        assert res.level_set_counts[1:] == rounds

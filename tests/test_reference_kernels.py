@@ -189,7 +189,7 @@ def _items(g, vecs, n_members_max=3, anti_frac=0.2):
     iid = int(g.integers(0, 50))
     while pos < len(recs):
         take = int(g.integers(1, n_members_max + 1))
-        items.append(Item(iid=iid, members=recs[pos : pos + take], origin=0))
+        items.append(Item(iid=iid, members=recs[pos : pos + take]))
         pos += take
         iid += int(g.integers(1, 4))
     for a in items:
@@ -248,7 +248,7 @@ def test_hits_fuzz(seed):
         if g.random() < density
     ]
     s_s = int(g.integers(2, 10))
-    assert build_hits([], pairs, s_s) == ref.build_hits([], pairs, s_s)
+    assert build_hits(pairs, s_s) == ref.build_hits([], pairs, s_s)
 
 
 def test_hits_on_dataset_blocks(wa_small):
@@ -258,7 +258,7 @@ def test_hits_on_dataset_blocks(wa_small):
             continue
         pairs = uncertain_pairs(block)
         for s_s in (3, 9):
-            assert build_hits(block, pairs, s_s) == ref.build_hits(
+            assert build_hits(pairs, s_s) == ref.build_hits(
                 block, pairs, s_s
             )
 
@@ -268,4 +268,4 @@ COMPLETE_12 = [(i, k) for i in range(12) for k in range(i + 1, 12)]
 
 @pytest.mark.parametrize("pairs", [[], [(0, 1)], COMPLETE_12])
 def test_hits_degenerate(pairs):
-    assert build_hits([], pairs, 4) == ref.build_hits([], pairs, 4)
+    assert build_hits(pairs, 4) == ref.build_hits([], pairs, 4)

@@ -128,7 +128,7 @@ class TestDistributedResolution:
         assert all(len(r["record_ids"]) == len(r["labels"]) for r in rows)
 
     def test_ledger_totals_exact_under_repartitioning(self, result):
-        """The decimal sum is exact: the order of the blocks is moot."""
+        """Integer sums: the order of the blocks is moot."""
         one = ledger_totals(result.repartition(1))
         five = ledger_totals(result.repartition(5))
         assert one == five
@@ -152,7 +152,8 @@ class TestDistributedResolution:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_driver_path_exactly(self, spark_world, monkeypatch, seed):
-        """Same records through ``run_er``: the same partition and ledger."""
+        """Same records through ``run_er``: the same assignment, metrics
+        and ledger, compared exactly."""
         _, _, df, _ = spark_world
         result = resolve_blocks_distributed(lsh_assign_blocks(df), seed=seed)
         _assert_driver_result(spark_world, monkeypatch, result, seed)
@@ -225,19 +226,12 @@ class TestResolvePlan:
         assert len({r["pid"] for r in rows}) > 1
 
 
-def _canonical(assign: dict[int, int]) -> list[list[int]]:
-    groups: dict[int, list[int]] = {}
-    for rid, lab in assign.items():
-        groups.setdefault(lab, []).append(rid)
-    return sorted(sorted(g) for g in groups.values())
-
-
 def _assert_driver_result(spark_world, monkeypatch, result, seed):
     from repro.core.records import build_records
     from repro.experiments import harness
     from repro.llm.simulated import SimulatedLLM
 
-    sp, pdf, _, _ = spark_world
+    sp, pdf, _, truth = spark_world
     llms = []
 
     def capture(*args, **kwargs):
@@ -248,16 +242,14 @@ def _assert_driver_result(spark_world, monkeypatch, result, seed):
     r = harness.run_er(
         sp, "llm_cer", seed=seed, prepared=build_records(pdf, sp)
     )
+    assign = assignment_from_result(result)
+    assert list(assign.items()) == list(r.assignment.items())
+    assert all_metrics(assign, truth) == all_metrics(r.assignment, truth)
+    want = llms[-1].ledger.snapshot()
     led = ledger_totals(result)
-    want = llms[-1].ledger
-    assert _canonical(assignment_from_result(result)) == _canonical(
-        r.assignment
-    )
-    assert (led["n_calls"], led["in_tokens"], led["out_tokens"]) == (
-        want.n_calls, want.in_tokens, want.out_tokens
-    )
+    assert led == {k: want[k] for k in led}
+    assert list(led) == ["n_calls", "in_tokens", "out_tokens", "sim_time_s"]
     assert led["n_calls"] > 0
-    assert led["sim_time_s"] == pytest.approx(want.sim_time_s, rel=1e-9)
 
 
 class TestDegenerateInputs:

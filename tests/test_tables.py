@@ -18,13 +18,13 @@ ROOT = Path(__file__).resolve().parent.parent
 #: sha256 of each table's ``to_csv(index=False)`` at scale 0.05, seed 0
 GOLDEN = {
     "table1": "c7b740f6b42cf0facc0f964ae6f1a8da63389188ca82d7ce9096781e46a1384d",
-    "table2": "d3f5a8a6c83c46b0306a2eb98e90305803d384fff68c04d59022368017abd2d4",
+    "table2": "3aa02c72beb140d945878475e495a74fc2fbb6f11de8b3cb635e1b8eb5a714f1",
     "table3": "e506841b4de9e8e29e810f9739972455bb8ab79c23676bacdce9e5e100d7921c",
-    "table4": "7a52f74205d8b6a9f28c019b7e6760897a397883d56e759d25c33d66d6ea9142",
+    "table4": "77193dfa8eb4b617c4ab79f768cd88c780a9f9bb3c9b7d5fe0aea0197eef4d65",
     "table5": "ebc83aa5bdf4f2655358874e9b0d0a82fafe8a71913f4b9a38fef88f3e70b241",
-    "table6": "3d38614739cfef011320568a10f7a7680af8890db1586788ba79f2b34c413b85",
+    "table6": "1fe995e5491d30ae0ea7ed4862be0b0fa9f4b287e3da47d3b3fda58b3708a82a",
     "table7": "bd36a62f2bf5d9885dadccbf9070c483d397355af02fd3a5d7285ee4e488ea9d",
-    "table8": "0857dc9ab851b1878c28c58c47347a44878ef4ff0385ea95d9eff70d6d5e7d1c",
+    "table8": "4ecc60067f7a05f46b71689187ddd86002f0b8029d028c08258d627f03494162",
     "table9": "0bcba031063369dddb8ea941a0a210544b61392ee8c73cfae993c30980cb46e7",
     "table10": "68d79909face22451b37697684191d5f01119a36b4a57b7fa454abe608f0794c",
     "table11_12_13": (
@@ -34,7 +34,7 @@ GOLDEN = {
     "table16": "42ad752eae54f06cb79ade1291041d2d4c1bde53d2a688109038b899b8d93292",
     "table17": "a68f526dc4c9b645dce5f678b21ae11321f8fdf638bd685706832962bfcea96f",
     "table18": "b6a1f01ffc28cbc2a8c51f042934caeb3a3f1b79934c728826a123cef111cd68",
-    "table19": "721f6c4ee5b719d35c9a8a6c5844deb53f0e923203160d1bd3c6398fc017372b",
+    "table19": "0bd07559975a4ca03491e78c9cfce1a44dd7fc0757f84000840d9b8a6eccac5b",
 }
 
 
