@@ -1,15 +1,16 @@
-"""Shared plumbing for the spark-submit job entrypoints.
+"""Shared plumbing for the job entrypoints.
 
-``make_parser`` gives every job its ``--scale``/``--seed``/``--out``
-options; ``spark_session`` builds the local SparkSession that
-``run_pipeline.py`` runs on; ``emit`` prints the paper-vs-measured
-frame ``run_table.py`` builds and optionally writes it to CSV.
+``make_parser`` gives every job its ``--scale``/``--seed`` options;
+``spark_session`` builds the local SparkSession that
+``run_pipeline.py`` runs on; ``write_table`` is the one CSV writer of a
+table frame, used by ``build_experiments_md.py`` and
+``run_table.py --out``; ``emit`` prints the paper-vs-measured frame
+``run_table.py`` builds.
 """
 from __future__ import annotations
 
 import argparse
 import os
-import sys
 
 import pandas as pd
 
@@ -21,10 +22,6 @@ def make_parser(desc: str) -> argparse.ArgumentParser:
         help="dataset scale factor (1.0 = paper-size datasets)",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--out", type=str, default="",
-        help="optional CSV path for the table",
-    )
     return p
 
 
@@ -48,11 +45,13 @@ def spark_session():
     return s
 
 
-def emit(df: pd.DataFrame, title: str, out: str = "") -> None:
+def write_table(df: pd.DataFrame, path: str | os.PathLike) -> None:
+    """Write a table frame as CSV, every float rounded to 4 places."""
+    df.round(4).to_csv(path, index=False)
+
+
+def emit(df: pd.DataFrame, title: str) -> None:
     pd.set_option("display.width", 200)
     pd.set_option("display.max_columns", 40)
     print(f"\n== {title} ==")
     print(df.round(3).to_string(index=False))
-    if out:
-        df.to_csv(out, index=False)
-        print(f"written: {out}", file=sys.stderr)

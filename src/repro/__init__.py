@@ -24,7 +24,8 @@ Subpackages
     simulated PLM matchers (Ditto / DeepMatcher).
 ``experiments``
     The harness, key-factor sweeps and per-table builders used by
-    ``jobs/`` and ``benchmarks/``.
+    ``jobs/`` (``jobs/build_experiments_md.py`` publishes every table
+    to ``benchmarks/results/`` and EXPERIMENTS.md).
 """
 
 __version__ = "0.1.0"

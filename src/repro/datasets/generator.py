@@ -97,7 +97,7 @@ def _entity_canonicals(spec: DatasetSpec) -> list[dict[str, object]]:
         fam = int(fams[e])
         fg = np.random.default_rng(spec.seed * 104729 + fam)  # family-stable
         eg = np.random.default_rng(spec.seed * 15485863 + e)  # entity-stable
-        v = spec.vocab
+        v = _VOCAB_SIZE
         fam_tokens = [_POOL[int(fg.integers(0, v))] for _ in range(3)]
         variant = f"{_POOL[int(eg.integers(0, v))]}{e % 97:02d}"
         row: dict[str, object] = {}

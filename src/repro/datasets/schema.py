@@ -48,7 +48,6 @@ class DatasetSpec:
     noise: float = 0.2
     confusability: float = 0.2
     value_misplacement: float = 0.0
-    vocab: int = 4000  # domain vocabulary size; smaller → more collisions
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -61,8 +60,6 @@ class DatasetSpec:
             raise ValueError(f"{self.name}: at least one attribute required")
         if not (0.0 <= self.noise <= 1.0 and 0.0 <= self.confusability <= 1.0):
             raise ValueError(f"{self.name}: noise/confusability must be in [0, 1]")
-        if not (10 <= self.vocab <= 4000):
-            raise ValueError(f"{self.name}: vocab must be in [10, 4000]")
 
     @property
     def dispersion(self) -> float:
@@ -110,9 +107,9 @@ class DatasetSpec:
         return replace(self, attrs=self.attrs[:k])
 
 
-def textual(n: int, prefix: str = "t") -> tuple[AttrSpec, ...]:
-    """``n`` textual attributes named ``{prefix}1..{prefix}n``."""
-    return tuple(AttrSpec(f"{prefix}{i + 1}", "T") for i in range(n))
+def textual(n: int) -> tuple[AttrSpec, ...]:
+    """``n`` textual attributes named ``t1..tn``."""
+    return tuple(AttrSpec(f"t{i + 1}", "T") for i in range(n))
 
 
 def mixed(t: int, n: int, c: int) -> tuple[AttrSpec, ...]:

@@ -423,8 +423,9 @@ def table19(runs: Runs) -> pd.DataFrame:
 
 #: Every table builder, keyed by the name its results are published
 #: under (``benchmarks/results/<key>.csv`` and one EXPERIMENTS.md
-#: section): key → (title, ``build(runs)``). ``jobs/run_table.py``
-#: and ``benchmarks/bench_tables.py`` both run from this registry.
+#: section): key → (title, ``build(runs)``).
+#: ``jobs/build_experiments_md.py`` builds and publishes every entry;
+#: ``jobs/run_table.py`` builds one.
 TABLES: dict[str, tuple[str, Callable[[Runs], pd.DataFrame]]] = {
     "table1": ("Table 1: dataset statistics (synthetic vs paper)", table1),
     "table2": ("Table 2: in-context clustering vs pairwise matching", table2),

@@ -63,11 +63,6 @@ class TestDatasetSpec:
         with pytest.raises(ValueError):
             _spec(noise=noise)
 
-    @pytest.mark.parametrize("vocab", [5, 5000])
-    def test_rejects_bad_vocab(self, vocab):
-        with pytest.raises(ValueError):
-            _spec(vocab=vocab)
-
 
 class TestScaled:
     def test_scaled_preserves_dispersion(self):

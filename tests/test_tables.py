@@ -1,7 +1,8 @@
-"""Tests for the table builders at scale 0.05 (full runs live in
-benchmarks/): one shared ``Runs`` rebuilds every table once, its
-frames match pinned hashes, and a run's result does not depend on the
-other runs a ``Runs`` holds."""
+"""Tests for the table builders at scale 0.05 (the full rebuild is
+``jobs/build_experiments_md.py``): one shared ``Runs`` rebuilds every
+table once, its frames match pinned hashes, a run's result does not
+depend on the other runs a ``Runs`` holds, and EXPERIMENTS.md is the
+render of the committed CSVs."""
 import hashlib
 import importlib.util
 from collections import Counter
@@ -65,18 +66,37 @@ def runs(rebuild):
     return rebuild[0]
 
 
+@pytest.fixture(scope="module")
+def md():
+    """The ``jobs/build_experiments_md.py`` module."""
+    path = ROOT / "jobs" / "build_experiments_md.py"
+    mod_spec = importlib.util.spec_from_file_location("experiments_md", path)
+    module = importlib.util.module_from_spec(mod_spec)
+    mod_spec.loader.exec_module(module)
+    return module
+
+
 class TestRegistry:
-    def test_built_tables_are_published_tables(self):
+    def test_built_tables_are_published_tables(self, md):
         """Every registered table has an EXPERIMENTS.md section and a
         committed results CSV, and nothing is published unbuilt."""
-        path = ROOT / "jobs" / "build_experiments_md.py"
-        spec = importlib.util.spec_from_file_location("experiments_md", path)
-        md = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(md)
         sections = [name for name, _, _ in md.SECTIONS]
-        csvs = {p.stem for p in (ROOT / "benchmarks" / "results").glob("*.csv")}
+        csvs = {p.stem for p in md.RESULTS.glob("*.csv")}
         assert list(tables.TABLES) == sections
         assert set(sections) == csvs
+
+    def test_experiments_md_is_render_of_committed_csvs(self, md):
+        """EXPERIMENTS.md is, byte for byte, what ``render()`` makes of
+        the committed CSVs and the current commentary."""
+        assert (ROOT / "EXPERIMENTS.md").read_text() == md.render()
+
+    def test_publish_writes_one_csv_per_table(self, md, runs, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setattr(md, "RESULTS", tmp_path)
+        md.publish(runs)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{name}.csv" for name in tables.TABLES
+        )
 
     def test_table1_entry_ignores_seed(self, runs):
         _, build = tables.TABLES["table1"]
