@@ -53,14 +53,25 @@ DEFAULT_MARGIN = 0.05
 INTRA_FLOOR = 0.18
 
 
-def misclustered(clusters: list[list[Record]]) -> list[Record]:
+def _similarities(clusters: list[list[Record]]) -> np.ndarray:
+    """Cosine matrix of the records of ``clusters``, cluster after
+    cluster: the one both MDG steps index."""
+    vecs = [r.vec for c in clusters for r in c]
+    return cosine_matrix(np.stack(vecs)) if vecs else np.zeros((0, 0))
+
+
+def misclustered(
+    clusters: list[list[Record]], sims: np.ndarray | None = None
+) -> list[Record]:
     """Alg. 2: records whose intra-cluster sim < inter-cluster sim
     (by more than ``DEFAULT_MARGIN``), plus records whose intra-cluster
-    sim falls below the absolute grounding floor."""
+    sim falls below the absolute grounding floor. ``sims`` is
+    ``_similarities(clusters)``, computed here when not given."""
     flat = [r for c in clusters for r in c]
     if len(flat) < 2:
         return []
-    sims = cosine_matrix(np.stack([r.vec for r in flat]))
+    if sims is None:
+        sims = _similarities(clusters)
     pos = {r.rid: i for i, r in enumerate(flat)}
     bad: list[Record] = []
     for c in clusters:
@@ -82,12 +93,16 @@ def misclustered(clusters: list[list[Record]]) -> list[Record]:
 
 
 def regenerate_order(
-    clusters: list[list[Record]], bad: list[Record]
+    clusters: list[list[Record]],
+    bad: list[Record],
+    sims: np.ndarray | None = None,
 ) -> list[Record]:
     """Record-set regeneration (§5.2): move each misclustered record to
-    sit immediately after its most similar *other* cluster."""
+    sit immediately after its most similar *other* cluster. ``sims`` is
+    ``_similarities(clusters)``, computed here when not given."""
     flat = [r for c in clusters for r in c]
-    sims = cosine_matrix(np.stack([r.vec for r in flat]))
+    if sims is None:
+        sims = _similarities(clusters)
     pos = {r.rid: i for i, r in enumerate(flat)}
     bad_ids = {r.rid for r in bad}
 
@@ -143,11 +158,14 @@ class _Guard:
         if not self.use_mdg:
             self.best, self.done = clusters, True
             return
-        bad = misclustered(clusters)
+        # one similarity matrix judges the answer and, if it is
+        # rejected, orders the next prompt
+        sims = _similarities(clusters)
+        bad = misclustered(clusters, sims)
         if len(bad) < self.best_violations:
             self.best, self.best_violations = clusters, len(bad)
         if bad:
-            self.order = regenerate_order(clusters, bad)
+            self.order = regenerate_order(clusters, bad, sims)
         else:
             self.done = True
 

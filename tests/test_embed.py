@@ -11,7 +11,7 @@ from repro.datasets.generator import generate
 from repro.datasets.registry import spec
 from repro.embed import hashing
 from repro.embed.hashing import (
-    DEFAULT_DIM, _fnv1a, embed_batch, embed_text, tokens,
+    DEFAULT_DIM, _fnv1a, _fnv1a_batch, embed_batch, embed_text, tokens,
 )
 from repro.embed.similarity import cosine, cosine_matrix, jaccard
 
@@ -145,22 +145,35 @@ class TestEmbedBatch:
         assert not np.isnan(out).any()
         assert not out.any()
 
+    def test_rows_independent_of_chunking(self, monkeypatch):
+        """Rows built two texts at a time, so batches span several
+        chunks, still equal the reference byte for byte."""
+        monkeypatch.setattr(hashing, "_CHUNK", 2)
+        rng = random.Random(11)
+        for _ in range(300):
+            texts = _random_batch(rng)
+            want = [_reference_embed(t, 32).tobytes() for t in texts]
+            assert [row.tobytes() for row in embed_batch(texts, 32)] == want
+
     def test_hashes_each_distinct_word_once_per_call(self, monkeypatch):
-        calls = []
+        """The batch hasher sees each distinct word's features once per
+        call, in one chunk or over several, and all again next call."""
+        batches = []
 
-        def counting(s):
-            calls.append(s)
-            return _fnv1a(s)
+        def counting(strings):
+            batches.append(list(strings))
+            return _fnv1a_batch(strings)
 
-        monkeypatch.setattr(hashing, "_fnv1a", counting)
-        texts = ["Alpha beta, alpha", "beta (gamma) ALPHA", "", "x x"]
+        monkeypatch.setattr(hashing, "_fnv1a_batch", counting)
+        texts = ["Alpha beta, alpha", "", "beta (gamma) ALPHA", "x x"]
         distinct = ["alpha", "beta", "gamma", "x"]
         want = sorted(f for w in distinct for f in _reference_features(w))
-        embed_batch(texts)
-        assert sorted(calls) == want
-        # no cache outlives the call: a second call hashes it all again
-        embed_batch(texts)
-        assert sorted(calls) == sorted(want + want)
+        for chunk in (hashing._CHUNK, 2):
+            monkeypatch.setattr(hashing, "_CHUNK", chunk)
+            for _ in range(2):  # no cache outlives the call
+                batches.clear()
+                embed_batch(texts)
+                assert sorted(f for b in batches for f in b) == want
 
 
 class TestFNV1a:
@@ -174,6 +187,39 @@ class TestFNV1a:
     ], ids=["empty", "a", "foobar"])
     def test_vectors(self, s, h):
         assert _fnv1a(s) == h
+
+
+class TestFNV1aBatch:
+    """The vectorised hasher equals the scalar ``_fnv1a`` on every
+    string, whatever the mix of lengths in its batch."""
+
+    #: BMP and non-BMP characters and a lone surrogate, each one code point
+    ODD = ["é", "漢", "😀", "\ud800"]
+
+    def test_edge_strings(self):
+        strings = ["", "a", "Z", " ", "foobar", *self.ODD, "G: é漢",
+                   "W:😀\ud800", "G:" + "漢" * 4]
+        strings += [("ab😀\ud800" * 9)[:n] for n in range(33)]
+        assert _fnv1a_batch(strings).tolist() == [_fnv1a(s) for s in strings]
+
+    def test_empty_batch(self):
+        out = _fnv1a_batch([])
+        assert out.dtype == np.uint64 and out.shape == (0,)
+
+    def test_fuzz(self):
+        """2,000 seeded batches of every feature length up to 24 (``W:``
+        features are 3 and longer, ``G:`` ones 6), mixed and repeated."""
+        rng = random.Random(3)
+        alphabet = "abz09 .:-" + "".join(self.ODD)
+        for _ in range(2000):
+            strings = [
+                "".join(rng.choice(alphabet)
+                        for _ in range(rng.randint(0, 24)))
+                for _ in range(rng.randint(0, 12))
+            ]
+            strings += rng.sample(strings, min(2, len(strings)))
+            got = _fnv1a_batch(strings)
+            assert got.tolist() == [_fnv1a(s) for s in strings], strings
 
 
 # sha256 of embed_texts(serialize_frame(...)).tobytes() and of the JSON

@@ -2,13 +2,15 @@
 import numpy as np
 import pytest
 
+from repro.core import mdg
 from repro.core.mdg import (
     ATTEMPTS, DEFAULT_MARGIN, _Guard, _repair, cluster_batch_with_guardrail,
     cluster_with_guardrail, misclustered, regenerate_order,
     structurally_valid,
 )
 from repro.core.records import Record
-from repro.embed.hashing import embed_text, tokens
+from repro.embed.hashing import DEFAULT_DIM, embed_text, tokens
+from repro.embed.similarity import cosine_matrix
 from repro.llm.profiles import GPT_4O_MINI
 from repro.llm.simulated import SimulatedLLM
 
@@ -110,6 +112,29 @@ class TestMdgAccepts:
     def test_similarity_reject(self, two_entities):
         a, b = two_entities
         assert not self._accepts(a + b, [a[:1] + b[:1], a[1:] + b[1:]])
+
+    def test_empty_record_set_accepted(self):
+        assert self._accepts([], [])
+
+    def test_rejected_attempt_computes_one_matrix(self, two_entities,
+                                                  monkeypatch):
+        """Judging an answer and reordering after its rejection share
+        one similarity matrix, and the order is the one
+        ``regenerate_order`` gives on its own."""
+        a, b = two_entities
+        wrong = [a[:1] + b[:1], a[1:] + b[1:]]
+        want = regenerate_order(wrong, misclustered(wrong))
+        shapes = []
+
+        def counting(m):
+            shapes.append(m.shape)
+            return cosine_matrix(m)
+
+        monkeypatch.setattr(mdg, "cosine_matrix", counting)
+        guard = _Guard(a + b, use_mdg=True)
+        guard.offer(wrong)
+        assert not guard.done and shapes == [(6, DEFAULT_DIM)]
+        assert [r.rid for r in guard.order] == [r.rid for r in want]
 
 
 class TestRegenerateOrder:

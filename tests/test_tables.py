@@ -2,9 +2,11 @@
 ``jobs/build_experiments_md.py``): one shared ``Runs`` rebuilds every
 table once, its frames match pinned hashes, a run's result does not
 depend on the other runs a ``Runs`` holds, and EXPERIMENTS.md is the
-render of the committed CSVs."""
+render of the committed CSVs; every run of that rebuild matches its
+entry in ``run_snapshot.json``."""
 import hashlib
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from repro.experiments import tables
 from repro.llm.profiles import GPT_4O_MINI
 
 ROOT = Path(__file__).resolve().parent.parent
+SNAPSHOT = Path(__file__).resolve().parent / "run_snapshot.json"
 
 #: sha256 of each table's ``to_csv(index=False)`` at scale 0.05, seed 0
 GOLDEN = {
@@ -59,6 +62,37 @@ def rebuild():
         for _, build in tables.TABLES.values():
             build(runs)
     return runs, calls
+
+
+def _run_key(key: tuple) -> str:
+    """A ``Runs`` key as stable text: the dataset variant, then each
+    option (a profile by its name)."""
+    sp, *opts = key
+    attrs = ",".join(f"{a.name}:{a.kind}" for a in sp.attrs)
+    head = (
+        f"{sp.name} {sp.n_records}r/{sp.n_entities}e [{attrs}] "
+        f"noise={sp.noise} conf={sp.confusability} "
+        f"mis={sp.value_misplacement} seed={sp.seed}"
+    )
+    return " ".join([head] + [f"{k}={getattr(v, 'name', v)}" for k, v in opts])
+
+
+def run_snapshot(runs: tables.Runs) -> dict[str, dict]:
+    """Each run ``runs`` holds, by its text key: the sha256 of its sorted
+    assignment items, its ledger integers, level counts, ACC and FP."""
+    out = {}
+    for key, r in runs._runs.items():
+        items = json.dumps(sorted(r.assignment.items())).encode()
+        out[_run_key(key)] = {
+            "assignment_sha256": hashlib.sha256(items).hexdigest(),
+            "n_calls": r.n_calls,
+            "tokens": round(r.tokens_m * 1e6),
+            "level_counts": r.level_counts,
+            "acc": r.acc,
+            "fp": r.fp,
+        }
+    # through JSON, so it compares equal to what was recorded
+    return json.loads(json.dumps(out, sort_keys=True))
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +143,19 @@ def test_golden_table(runs, name):
     pinned one."""
     csv = tables.TABLES[name][1](runs).to_csv(index=False)
     assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN[name]
+
+
+def test_run_snapshot(runs):
+    """Every run of the scale-0.05 rebuild (110 keys) has the assignment,
+    ledger, level counts, ACC and FP recorded in ``run_snapshot.json``.
+    A change that moves a run on purpose re-records the file with
+    ``python tests/test_tables.py`` and says why."""
+    want = json.loads(SNAPSHOT.read_text())
+    got = run_snapshot(runs)
+    assert len(got) == len(runs._runs) == 110
+    moved = sorted(k for k in want.keys() | got.keys()
+                   if want.get(k) != got.get(k))
+    assert not moved, "runs that moved:\n" + "\n".join(moved)
 
 
 class TestRuns:
@@ -221,3 +268,12 @@ class TestTable19:
             )
         cs = df[df["dataset"] == "Citeseer"].set_index("batching")
         assert cs.loc["batch", "api_calls"] < cs.loc["no_batch", "api_calls"]
+
+
+if __name__ == "__main__":
+    # re-record run_snapshot.json from a fresh scale-0.05 rebuild
+    fresh = tables.Runs(0.05)
+    for _, build in tables.TABLES.values():
+        build(fresh)
+    SNAPSHOT.write_text(json.dumps(run_snapshot(fresh), indent=1,
+                                   sort_keys=True) + "\n")
