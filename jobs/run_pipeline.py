@@ -3,8 +3,9 @@
 Runs the full Spark dataflow on one dataset: records DF → embedding
 pandas UDF → LSH blocking of the collected records (the driver path's
 ``lsh_blocks``) → a new frame of those rows with their ``block_id``,
-one partition per core → per-block Algorithm 4 via ``applyInPandas`` →
-Spark-SQL metric aggregation, and prints quality + ledger totals.
+one partition per core → per-block Algorithm 4, one ``mapInPandas``
+call per partition → Spark-SQL ledger sums and the FP-measure as one
+grouping-sets aggregation, and prints quality + ledger totals.
 ``--seed s`` gives the same result as ``harness.run_er(seed=s)``.
 The Spark-SQL FP-measure must equal the driver's to within 1e-9;
 otherwise the job exits non-zero with both values.

@@ -7,12 +7,13 @@ embedded records are collected to the driver and blocked by the one LSH
 blocking function, :func:`repro.blocking.lsh.lsh_blocks`; the collected
 rows, less their vectors, become a new frame with a ``block_id``
 column, hash-partitioned on ``block_id`` into one partition per core,
-and each block is resolved *independently* inside ``applyInPandas``,
-which embeds the block's texts again and runs the same per-block
-Algorithm 4 as the driver path. Each block comes back as one row: its
-record ids, their block-local labels and the block's ledger counts,
-which Spark SQL sums. Spark thus distributes the embedding and the
-per-block resolution; blocking itself runs once, on the driver.
+and each partition's blocks are resolved *independently* in one
+``mapInPandas`` call, which embeds the partition's texts again and runs
+the same per-block Algorithm 4 as the driver path on each block. Each
+block comes back as one row: its record ids, their block-local labels
+and the block's ledger counts, which Spark SQL sums. Spark thus
+distributes the embedding and the per-block resolution; blocking
+itself runs once, on the driver.
 
 The distributed run gives exactly the single-process result
 (:func:`repro.experiments.harness.run_er` with ``method="llm_cer"``) on
@@ -27,7 +28,7 @@ plan).
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -85,7 +86,7 @@ def lsh_assign_blocks(df: DataFrame, *, seed: int = 0) -> DataFrame:
     The result is a new frame built from the collected rows, with the
     columns ``record_id``, ``entity_id``, ``text`` and ``block_id``.
     It has no ``vec``: shipping the vectors back from the driver costs
-    more driver memory than re-embedding a block's texts costs its task
+    more driver memory than re-embedding a partition's texts costs its task
     (``embed_texts`` gives each row the same vector in any batch). Being
     a new frame, it never re-runs ``df``'s embedding UDF.
     """
@@ -112,7 +113,7 @@ _RESULT_SCHEMA = (
 def resolve_blocks_distributed(
     blocked: DataFrame, *, seed: int = 0
 ) -> DataFrame:
-    """applyInPandas per-block Algorithm 4 → one row per block.
+    """mapInPandas per-partition Algorithm 4 → one row per block.
 
     Block ``b`` is resolved over its records in ``record_id`` order
     with ``seed + b``, as the driver path resolves its ``b``-th block.
@@ -122,44 +123,49 @@ def resolve_blocks_distributed(
     them with ``ledger_totals``).
 
     The blocks are hash-partitioned on ``block_id`` into
-    ``defaultParallelism`` partitions, one task per core, and the
-    grouping reuses that exchange. Left to ``groupBy``'s own exchange,
-    the task count depends on the caller: a cached result keeps all
-    ``spark.sql.shuffle.partitions`` partitions (AQE may not change a
-    cached plan's output partitioning), so each of the many small tasks
-    pays a task's fixed cost for a few blocks; uncached, AQE coalesces
-    the small shuffle into one partition, and one Python worker resolves
-    every block in turn.
+    ``defaultParallelism`` partitions, one task per core; a partition
+    holds whole blocks, and one Python call resolves all of them. A
+    per-group ``applyInPandas`` would make one Arrow round trip per
+    block, which costs more than most blocks' work. The call embeds
+    the partition's texts once (``embed_texts`` gives each row the same
+    vector in any batch) and shares one oracle among its blocks: the
+    oracle is seeded per call from record ids, and its ledger, its only
+    mutable state, is a fresh one for each block.
     """
 
-    def _resolve(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-        block_id = int(key[0])
-        pdf = pdf.sort_values("record_id")
-        truth = dict(
-            zip(pdf["record_id"].astype(int), pdf["entity_id"].astype(int))
+    def _resolve(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        # a partition of more than maxRecordsPerBatch rows spans batches
+        frames = [f for f in batches if len(f)]
+        if not frames:
+            return
+        pdf = pd.concat(frames, ignore_index=True).sort_values(
+            ["block_id", "record_id"], ignore_index=True
         )
-        llm = SimulatedLLM(truth, GPT_4O_MINI, seed=seed)
-        recs = make_records(
-            pdf["record_id"], pdf["text"], embed_texts(pdf["text"])
+        rids = pdf["record_id"].astype(int)
+        llm = SimulatedLLM(
+            dict(zip(rids, pdf["entity_id"].astype(int))),
+            GPT_4O_MINI, seed=seed,
         )
-        res = resolve_block(recs, llm, seed=seed + block_id)
-        led = llm.ledger
-        return pd.DataFrame(
-            {
-                "block_id": [block_id],
-                "record_ids": [list(res.assignment)],
-                "labels": [list(res.assignment.values())],
-                "n_calls": [led.n_calls],
-                "in_tokens": [led.in_tokens],
-                "out_tokens": [led.out_tokens],
-            }
-        )
+        recs = make_records(rids, pdf["text"], embed_texts(pdf["text"]))
+        rows = []
+        for block_id, idx in pdf.groupby("block_id").indices.items():
+            block_id = int(block_id)
+            llm.ledger = led = Ledger(llm.profile)
+            res = resolve_block(
+                [recs[i] for i in idx], llm, seed=seed + block_id
+            )
+            rows.append((
+                block_id, list(res.assignment), list(res.assignment.values()),
+                led.n_calls, led.in_tokens, led.out_tokens,
+            ))
+        yield pd.DataFrame(rows, columns=[
+            "block_id", "record_ids", "labels",
+            "n_calls", "in_tokens", "out_tokens",
+        ])
 
     n_tasks = blocked.sparkSession.sparkContext.defaultParallelism
-    return (
-        blocked.repartition(n_tasks, "block_id")
-        .groupBy("block_id")
-        .applyInPandas(_resolve, schema=_RESULT_SCHEMA)
+    return blocked.repartition(n_tasks, "block_id").mapInPandas(
+        _resolve, schema=_RESULT_SCHEMA
     )
 
 

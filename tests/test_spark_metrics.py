@@ -28,7 +28,74 @@ class TestAgainstPython:
         assert fp_measure_spark(df) == pytest.approx(fp_measure(pred, truth))
 
 
+class TestAgainstPythonFuzz:
+    @pytest.fixture(scope="class")
+    def clusterings(self):
+        """Seeded random clusterings plus the edge shapes: one cluster,
+        all singletons, and pred equal to truth."""
+        g = np.random.default_rng(20)
+        out = []
+        for _ in range(17):
+            n = int(g.integers(1, 80))
+            truth = g.integers(0, int(g.integers(1, n + 1)), n)
+            pred = g.integers(0, int(g.integers(1, n + 1)), n)
+            out.append((pred, truth))
+        n = 40
+        truth = g.integers(0, 6, n)
+        out += [
+            (np.zeros(n, int), truth),
+            (np.arange(n), truth),
+            (truth.copy(), truth),
+        ]
+        return [
+            ({i: int(p) for i, p in enumerate(pred)},
+             {i: int(t) for i, t in enumerate(truth)})
+            for pred, truth in out
+        ]
+
+    def test_fp_measure_exact(self, spark, clusterings):
+        for pred, truth in clusterings:
+            rows = [(r, pred[r], truth[r]) for r in pred]
+            df = spark.createDataFrame(
+                rows, "record_id long, pred long, truth long"
+            )
+            assert fp_measure_spark(df) == fp_measure(pred, truth), rows
+
+
+class TestPlan:
+    def test_no_cross_join(self, spark, assign_df, monkeypatch):
+        """One aggregation: the final executed plan (under AQE) joins
+        nothing."""
+        df, _, _ = assign_df
+        frame_cls = type(df)
+        plans = []
+        collect = frame_cls.collect
+
+        def recording_collect(self):
+            rows = collect(self)
+            plan = self._jdf.queryExecution().executedPlan()
+            if plan.getClass().getSimpleName() == "AdaptiveSparkPlanExec":
+                plan = plan.executedPlan()
+            plans.append(plan.toString())
+            return rows
+
+        monkeypatch.setattr(frame_cls, "collect", recording_collect)
+        fp_measure_spark(df)
+        assert len(plans) == 1
+        assert "HashAggregate" in plans[0], plans[0]
+        for join in ("CartesianProduct", "BroadcastNestedLoopJoin", "Join"):
+            assert join not in plans[0], plans[0]
+
+
 class TestDegenerate:
+    def test_empty_frame_raises_as_driver(self, spark):
+        """The driver's ``contingency`` raises on an empty clustering."""
+        df = spark.createDataFrame([], "record_id long, pred long, truth long")
+        with pytest.raises(ValueError, match="empty clustering"):
+            fp_measure({}, {})
+        with pytest.raises(ValueError, match="empty clustering"):
+            fp_measure_spark(df)
+
     def test_single_record(self, spark):
         df = spark.createDataFrame([(0, 3, 4)], ["record_id", "pred", "truth"])
         assert fp_measure_spark(df) == 1.0

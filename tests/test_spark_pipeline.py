@@ -114,7 +114,9 @@ class TestDistributedResolution:
 
     @pytest.fixture(scope="class")
     def result(self, blocked):
-        return resolve_blocks_distributed(blocked, seed=0).cache()
+        result = resolve_blocks_distributed(blocked, seed=0).cache()
+        yield result
+        result.unpersist()
 
     def test_one_row_per_block(self, blocked, result):
         assert result.count() == blocked.select("block_id").distinct().count()
@@ -173,6 +175,33 @@ class TestDistributedResolution:
             df.unpersist()
 
 
+class TestArrowBatches:
+    def test_partition_over_several_arrow_batches(
+        self, spark, spark_world, monkeypatch
+    ):
+        """A partition of more than maxRecordsPerBatch rows reaches the
+        Python call as several batches; it still resolves whole blocks."""
+        _, _, df, _ = spark_world
+        blocked = lsh_assign_blocks(df)
+        n = spark.sparkContext.defaultParallelism
+        sizes = (
+            blocked.repartition(n, "block_id")
+            .groupBy(F.spark_partition_id()).count().collect()
+        )
+        assert max(r["count"] for r in sizes) > 7
+        key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+        old = spark.conf.get(key)
+        spark.conf.set(key, "7")
+        try:
+            result = resolve_blocks_distributed(blocked, seed=0)
+            # a cached equal plan would be read back, not resolved again
+            cached = result._jdf.queryExecution().withCachedData()
+            assert "InMemoryRelation" not in cached.toString()
+            _assert_driver_result(spark_world, monkeypatch, result, 0)
+        finally:
+            spark.conf.set(key, old)
+
+
 def _final_plan(frame) -> str:
     """The executed physical plan; under AQE, its final plan only."""
     plan = frame._jdf.queryExecution().executedPlan()
@@ -209,9 +238,19 @@ class TestResolvePlan:
         for join in ("SortMergeJoin", "BroadcastHashJoin", "ShuffledHashJoin"):
             assert join not in plan, plan
 
+    def test_one_python_call_per_partition(self, spark_world):
+        """mapInPandas, not a per-group applyInPandas."""
+        _, _, df, _ = spark_world
+        result = resolve_blocks_distributed(lsh_assign_blocks(df))
+        result.collect()
+        plan = _final_plan(result)
+        assert "MapInPandas" in plan, plan
+        assert "FlatMapGroupsInPandas" not in plan, plan
+
     def test_blocks_resolved_in_more_than_one_task(self, spark, spark_world):
-        """Uncached, AQE would coalesce groupBy's own small shuffle into
-        one partition: one Python worker resolving every block."""
+        """Uncached, AQE would coalesce a shuffle without a partition
+        count into one partition: one Python worker resolving every
+        block."""
         _, _, df, _ = spark_world
         n = spark.sparkContext.defaultParallelism
         blocked = lsh_assign_blocks(df)
